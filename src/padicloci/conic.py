@@ -141,7 +141,7 @@ def _embed_coeff(p, c, prec):
         raise ValueError(
             "a root of unity of order %d does not embed in Q_%d" % (e.denominator, p)
         )
-    return w.to_padic()
+    return w
 
 
 class AnalyticLocus:

@@ -203,16 +203,14 @@ class TorsionCharacter:
 
 
 def _lift_f(x, f):
-    if x.f == f:
+    # values are held as UnramifiedScalar, even at f = 1, so that their
+    # residues lie in the residue field
+    if x.f == f and not isinstance(x, PadicScalar):
         return x
-    if x.f == 1:
-        return UnramifiedScalar.from_padic(x.to_padic(), f)
-    raise ValueError("cannot mix extensions of degree %d and %d" % (x.f, f))
+    return UnramifiedScalar.from_padic(x, f)
 
 
 def _unify_value(x, p, f):
-    if isinstance(x, PadicScalar):
-        x = UnramifiedScalar.from_padic(x, f)
     if not isinstance(x, UnramifiedScalar) or x.p != p:
         raise ValueError("character values must be scalars over the chosen prime")
     x = _lift_f(x, f)

@@ -12,8 +12,6 @@ growth concern beyond what bigints handle natively.  Conventions:
   ``[0, pivot)``), which is what makes lattices comparable by equality.
 """
 
-from fractions import Fraction
-
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -273,34 +271,3 @@ def integer_kernel(mat, ncols=None):
     rank = sum(1 for x in diagonal_of(d) if x)
     cols = transpose(w)
     return [list(cols[j]) for j in range(rank, m)]
-
-
-def rational_solve(mat, rhs):
-    """One exact rational solution of mat @ x == rhs, or None."""
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][m]:
-            return None
-    x = [Fraction(0)] * m
-    for i, c in enumerate(pivots):
-        x[c] = a[i][m]
-    return x

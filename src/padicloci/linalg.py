@@ -3,9 +3,10 @@
 Entries are any objects with ring operators and an exact equality test
 against 0 (Fraction, CycNumber, Laurent polynomials).  Matrices are lists
 of row lists, always small here, so plain Gaussian elimination is the
-whole story: `rank_over_field` divides by pivots, `rank_division_free`
-uses cross-multiplication only and therefore also works over polynomial
-rings where division is unavailable.
+whole story: `kernel_basis` and `rank_over_field` share one reduction
+that divides by pivots, `rank_division_free` uses cross-multiplication
+only and therefore also works over polynomial rings where division is
+unavailable.
 """
 
 
@@ -14,29 +15,7 @@ def _is_zero(x):
 
 
 def rank_over_field(rows):
-    a = [list(r) for r in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, len(a)):
-            if not _is_zero(a[r][c]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv_lead = a[rank][c]
-        for r in range(rank + 1, len(a)):
-            if not _is_zero(a[r][c]):
-                factor = a[r][c] / inv_lead
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+    return len(_row_reduce(rows, len(rows[0]) if rows else 0)[1])
 
 
 def rank_division_free(rows):
@@ -65,12 +44,8 @@ def rank_division_free(rows):
     return rank
 
 
-def kernel_basis(rows, ncols, one, zero):
-    """Basis of the right kernel over a field.
-
-    `one` and `zero` supply the scalar constants of the entry type, since
-    the matrix may be empty in a way that leaves no entry to copy from.
-    """
+def _row_reduce(rows, ncols):
+    """Reduced row echelon form over a field: (rows, pivot columns)."""
     a = [list(r) for r in rows]
     pivots = []
     rank = 0
@@ -93,6 +68,16 @@ def kernel_basis(rows, ncols, one, zero):
         rank += 1
         if rank == len(a):
             break
+    return a, pivots
+
+
+def kernel_basis(rows, ncols, one, zero):
+    """Basis of the right kernel over a field.
+
+    `one` and `zero` supply the scalar constants of the entry type, since
+    the matrix may be empty in a way that leaves no entry to copy from.
+    """
+    a, pivots = _row_reduce(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -102,5 +87,3 @@ def kernel_basis(rows, ncols, one, zero):
             vec[pc] = zero - a[r][fc]
         basis.append(vec)
     return basis
-
-

@@ -1,19 +1,28 @@
 """Exact p-adic scalars at finite relative precision.
 
-A nonzero scalar is the coset ``p**v * (u + p**M * Z_p)`` stored as the
-triple (v, u, M) with the unit part normalized into [1, p**M).  The coset
-is tracked exactly: arithmetic here is integer arithmetic on coset data,
-never floating approximation.  A quantity that cannot be distinguished
-from zero is tagged "zero to absolute precision N" and stands for the
-coset ``p**N * Z_p``; it remembers N and nothing else.  Norms follow the
-convention |p| = 1/p, so a valuation-v element has norm p**(-v).
+There is one scalar type, `UnramifiedScalar`: an element of the
+unramified coefficient ring Q_{p^f}, stored as p**v times a coefficient
+vector relative to the basis 1, x, ..., x**(f-1) modulo a fixed monic
+degree-f polynomial that is irreducible mod p.  ``modulus_poly`` pins
+the deterministic choice so serialized values never need to ship the
+modulus.  A nonzero scalar is the coset ``p**v * (c + p**M * O)`` for a
+unit vector c (some coordinate prime to p) reduced into [0, p**M).  The
+coset is tracked exactly: arithmetic here is integer arithmetic on coset
+data, never floating approximation.  A quantity that cannot be
+distinguished from zero is tagged "zero to absolute precision N" and
+stands for the coset ``p**N * O``; it remembers N and nothing else, and
+N may be any integer.  Norms follow the convention |p| = 1/p, so a
+valuation-v element has norm p**(-v).
 
-Unramified coefficient rings Q_{p^f} are coefficient vectors relative to
-the basis 1, x, ..., x**(f-1) modulo a fixed monic degree-f polynomial
-that is irreducible mod p; ``modulus_poly`` pins the deterministic choice
-so serialized values never need to ship the modulus.  Ramified data
-(fractional valuations, radii at the convergence boundary) is rejected,
-not approximated.
+`PadicScalar` is the f = 1 face of the same type, Q_p itself: it adds
+the familiar (p, v, u, rel_prec) constructor, the integer unit ``u``,
+rational representatives and the residue as an integer.  A result is a
+`PadicScalar` whenever every scalar operand is one, so Q_p data keeps
+its type; f = 1 data typed as `UnramifiedScalar` (a Teichmuller lift,
+say) keeps that type and its residue in the residue field.  Both
+serialize to the same flat f = 1 JSON form.  Ramified data (fractional
+valuations, radii at the convergence boundary) is rejected, not
+approximated.
 """
 
 import math
@@ -22,6 +31,10 @@ from fractions import Fraction
 
 class PrecisionError(ArithmeticError):
     """Raised when stored precision cannot support the requested answer."""
+
+
+class DomainError(ValueError):
+    """Input lies outside the convergence region of the requested map."""
 
 
 _PRIMES_SEEN = set()
@@ -65,343 +78,47 @@ def exp_domain_bound(p):
     return 2 if p == 2 else 1
 
 
-class PadicScalar:
-    """Element of Q_p known exactly modulo p**(v + M)."""
-
-    __slots__ = ("p", "v", "u", "M", "zprec")
-
-    def __init__(self, p, v, u, rel_prec, _zero_prec=None):
-        check_prime(p)
-        self.p = p
-        if _zero_prec is not None:
-            self.v = None
-            self.u = 0
-            self.M = 0
-            self.zprec = _zero_prec
-            return
-        if rel_prec < 1:
-            raise ValueError("relative precision must be >= 1")
-        pm = p ** rel_prec
-        u %= pm
-        if u % p == 0:
-            raise ValueError("unit part of a nonzero scalar must be a p-adic unit")
-        self.v = v
-        self.u = u
-        self.M = rel_prec
-        self.zprec = None
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero_at(cls, p, abs_prec):
-        if abs_prec < 1:
-            raise ValueError("zero needs a positive absolute precision")
-        return cls(p, 0, 0, 0, _zero_prec=abs_prec)
-
-    @classmethod
-    def from_int(cls, p, n, rel_prec):
-        if n == 0:
-            return cls.zero_at(p, rel_prec)
-        v, unit = int_valuation(n, p)
-        return cls(p, v, unit, rel_prec)
-
-    @classmethod
-    def from_fraction(cls, p, q, rel_prec):
-        q = Fraction(q)
-        if q == 0:
-            return cls.zero_at(p, rel_prec)
-        vn, un = int_valuation(q.numerator, p) if q.numerator else (0, 0)
-        vd, ud = int_valuation(q.denominator, p)
-        unit = un * pow(ud, -1, p ** rel_prec)
-        return cls(p, vn - vd, unit, rel_prec)
-
-    @classmethod
-    def one(cls, p, rel_prec):
-        return cls(p, 0, 1, rel_prec)
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def is_zero_coset(self):
-        return self.v is None
-
-    @property
-    def abs_prec(self):
-        return self.zprec if self.v is None else self.v + self.M
-
-    @property
-    def valuation(self):
-        # None means "only a lower bound, namely abs_prec, is known"
-        return self.v
-
-    def norm_exponent(self):
-        """e with |x| = p**(-e); for a zero coset this is a lower bound."""
-        return self.zprec if self.v is None else self.v
-
-    def is_zero_to(self, tau):
-        """Exact three-way test of |x| <= p**(-tau).
-
-        True/False when the stored precision decides it, PrecisionError when
-        the coset is too coarse to tell.
-        """
-        if self.v is not None:
-            return self.v >= tau
-        if self.zprec >= tau:
-            return True
-        raise PrecisionError(
-            "zero to precision %d cannot be tested at threshold %d" % (self.zprec, tau)
-        )
-
-    def rep(self):
-        """Canonical rational representative of the coset."""
-        if self.v is None:
-            return Fraction(0)
-        if self.v >= 0:
-            return Fraction((self.p ** self.v * self.u) % self.p ** self.abs_prec)
-        return Fraction(self.u, self.p ** (-self.v))
-
-    def rep_int(self):
-        r = self.rep()
-        if r.denominator != 1:
-            raise ValueError("negative valuation has no integer representative")
-        return r.numerator
-
-    def truncate_abs(self, n):
-        """The same coset coarsened to absolute precision n."""
-        if n > self.abs_prec:
-            raise PrecisionError("cannot refine precision from %d to %d" % (self.abs_prec, n))
-        if self.v is None or self.v >= n:
-            return PadicScalar.zero_at(self.p, n)
-        return PadicScalar(self.p, self.v, self.u % self.p ** (n - self.v), n - self.v)
-
-    def residue(self):
-        """Image in F_p; requires v >= 0."""
-        if self.v is None:
-            if self.zprec < 1:
-                raise PrecisionError("residue of an imprecise zero")
-            return 0
-        if self.v < 0:
-            raise ValueError("residue of a non-integral scalar")
-        return self.u % self.p if self.v == 0 else 0
-
-    def __repr__(self):
-        if self.v is None:
-            return "PadicScalar(p=%d, O(p^%d))" % (self.p, self.zprec)
-        return "PadicScalar(p=%d, p^%d * (%d + O(p^%d)))" % (self.p, self.v, self.u, self.M)
-
-    def __eq__(self, other):
-        if not isinstance(other, PadicScalar):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.v == other.v
-            and self.u == other.u
-            and self.M == other.M
-            and self.zprec == other.zprec
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.v, self.u, self.M, self.zprec))
-
-    # -- arithmetic -------------------------------------------------------
-
-    def _coerce(self, other, abs_target):
-        # exact rationals enter at whatever absolute precision the context needs
-        if isinstance(other, PadicScalar):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other
-        if isinstance(other, int) or isinstance(other, Fraction):
-            q = Fraction(other)
-            if q == 0:
-                return PadicScalar.zero_at(self.p, abs_target)
-            v = int_valuation(q.numerator, self.p)[0] - int_valuation(q.denominator, self.p)[0]
-            if v >= abs_target:
-                return PadicScalar.zero_at(self.p, abs_target)
-            return PadicScalar.from_fraction(self.p, q, abs_target - v)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other, self.abs_prec)
-        if other is None:
-            return NotImplemented
-        p = self.p
-        n = min(self.abs_prec, other.abs_prec)
-        if self.v is None and other.v is None:
-            return PadicScalar.zero_at(p, n)
-        # common shift keeps everything integral when valuations are negative
-        shift = min([x.v for x in (self, other) if x.v is not None] + [0])
-        total = 0
-        for x in (self, other):
-            if x.v is not None:
-                total += p ** (x.v - shift) * x.u
-        n_shifted = n - shift
-        total %= p ** n_shifted
-        if total == 0:
-            return PadicScalar.zero_at(p, n)
-        v, unit = int_valuation(total, p)
-        v += shift
-        if v >= n:
-            return PadicScalar.zero_at(p, n)
-        return PadicScalar(p, v, unit, n - v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.v is None:
-            return self
-        return PadicScalar(self.p, self.v, -self.u % self.p ** self.M, self.M)
-
-    def __sub__(self, other):
-        other2 = self._coerce(other, self.abs_prec)
-        if other2 is None:
-            return NotImplemented
-        return self.__add__(-other2)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, PadicScalar):
-            q = Fraction(other)
-            if q == 0:
-                # exact zero has no representation here; a coset bound must do
-                return PadicScalar.zero_at(self.p, max(1, self.abs_prec))
-            return self.divexact_rational(1 / q)
-        if not isinstance(other, PadicScalar):
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError("mixed primes")
-        p = self.p
-        if self.v is None or other.v is None:
-            bound = self.norm_exponent() + other.norm_exponent()
-            return PadicScalar.zero_at(p, max(1, bound))
-        m = min(self.M, other.M)
-        return PadicScalar(p, self.v + other.v, (self.u * other.u) % p ** m, m)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.v is None:
-            raise ZeroDivisionError("not invertible at this precision")
-        return PadicScalar(self.p, -self.v, pow(self.u, -1, self.p ** self.M), self.M)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, PadicScalar):
-            return self.divexact_rational(Fraction(other))
-        if isinstance(other, PadicScalar):
-            return self * other.inverse()
-        return NotImplemented
-
-    def divexact_rational(self, q):
-        """Exact division by a rational; no precision is lost."""
-        q = Fraction(q)
-        if q == 0:
-            raise ZeroDivisionError
-        p = self.p
-        vn, un = int_valuation(q.numerator, p)
-        vd, ud = int_valuation(q.denominator, p)
-        if self.v is None:
-            return PadicScalar.zero_at(p, max(1, self.zprec - vn + vd))
-        pm = p ** self.M
-        unit = (self.u * pow(un, -1, pm) * ud) % pm
-        return PadicScalar(p, self.v - vn + vd, unit, self.M)
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        if self.v is None:
-            if e <= 0:
-                raise ZeroDivisionError("power of zero coset with exponent <= 0")
-            return PadicScalar.zero_at(self.p, self.zprec * e)
-        if e == 0:
-            return PadicScalar.one(self.p, self.M)
-        base = self if e > 0 else self.inverse()
-        return PadicScalar(self.p, base.v * abs(e), pow(base.u, abs(e), self.p ** base.M), base.M)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self):
-        if self.v is None:
-            return {"p": self.p, "f": 1, "v": "zero", "unit_digits": [], "rel_prec": self.zprec}
-        return {
-            "p": self.p,
-            "f": 1,
-            "v": self.v,
-            "unit_digits": _digits(self.u, self.p, self.M),
-            "rel_prec": self.M,
-        }
-
-
-def _digits(n, p, count):
-    out = []
-    for _ in range(count):
-        out.append(n % p)
-        n //= p
-    return out
-
-
-def _undigits(ds, p):
-    n = 0
-    for d in reversed(ds):
-        n = n * p + d
-    return n
-
-
-def scalar_from_json(doc):
-    p = doc["p"]
-    f = doc.get("f", 1)
-    if doc["v"] == "zero":
-        if f == 1:
-            return PadicScalar.zero_at(p, doc["rel_prec"])
-        return UnramifiedScalar.zero_at(p, f, doc["rel_prec"])
-    if f == 1:
-        return PadicScalar(p, doc["v"], _undigits(doc["unit_digits"], p), doc["rel_prec"])
-    coeffs = tuple(_undigits(ds, p) for ds in doc["unit_digits"])
-    return UnramifiedScalar(p, f, doc["v"], coeffs, doc["rel_prec"])
-
-
-def coset_eq(x, y):
-    """Equality of the cosets after coarsening to the shared precision."""
-    n = min(x.abs_prec, y.abs_prec)
-    a, b = x.truncate_abs(n), y.truncate_abs(n)
-    return a == b
-
-
 # ---------------------------------------------------------------------------
-# residue fields and the deterministic modulus
+# the polynomial mul-mod kernel, shared by residue fields, scalars and lifts
 # ---------------------------------------------------------------------------
 
 
-def _fp_polymulmod(a, b, h, p):
-    # a, b dense little-endian coefficient lists over F_p, h monic
+def _vec_mul_mod(a, b, h, pm):
+    # a, b: little-endian coefficient vectors of length <= f, h monic of
+    # degree f; the product modulo h and pm
     f = len(h) - 1
-    prod = [0] * (len(a) + len(b) - 1)
+    if f == 1:
+        return [a[0] * b[0] % pm]
+    prod = [0] * (2 * f - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, f - 1, -1):
+                prod[i + j] = (prod[i + j] + ai * bj) % pm
+    for k in range(2 * f - 2, f - 1, -1):
         c = prod[k]
         if c:
             prod[k] = 0
             for i in range(f):
-                prod[k - f + i] = (prod[k - f + i] - c * h[i]) % p
-    out = prod[:f]
-    out += [0] * (f - len(out))
-    return out
+                prod[k - f + i] = (prod[k - f + i] - c * h[i]) % pm
+    return prod[:f]
 
 
-def _fp_powmod(a, e, h, p):
+def _vec_pow_mod(a, e, h, pm):
     f = len(h) - 1
     result = [1] + [0] * (f - 1)
     base = list(a)
     while e:
         if e & 1:
-            result = _fp_polymulmod(result, base, h, p)
-        base = _fp_polymulmod(base, base, h, p)
+            result = _vec_mul_mod(result, base, h, pm)
         e >>= 1
+        if e:
+            base = _vec_mul_mod(base, base, h, pm)
     return result
+
+
+# ---------------------------------------------------------------------------
+# residue fields and the deterministic modulus
+# ---------------------------------------------------------------------------
 
 
 def _fp_polygcd(a, b, p):
@@ -432,14 +149,13 @@ def _fp_polygcd(a, b, p):
 def _is_irreducible(coeffs, p, f):
     # coeffs: little-endian of monic degree-f poly over F_p
     h = list(coeffs)
-    x = [0, 1] if f > 1 else [0]
     if f == 1:
         return True
-    xq = _fp_powmod([0, 1], p ** f, h, p)
+    xq = _vec_pow_mod([0, 1], p ** f, h, p)
     if xq != [0, 1] + [0] * (f - 2):
         return False
     for q in set(_prime_factors(f)):
-        xe = _fp_powmod([0, 1], p ** (f // q), h, p)
+        xe = _vec_pow_mod([0, 1], p ** (f // q), h, p)
         diff = list(xe)
         diff[1] = (diff[1] - 1) % p
         g = _fp_polygcd(h, diff, p)
@@ -533,20 +249,16 @@ class ResidueElement:
         if not isinstance(other, ResidueElement) or (self.p, self.f) != (other.p, other.f):
             raise ValueError("mixed residue fields")
         h = modulus_poly(self.p, self.f)
-        return ResidueElement(
-            self.p, self.f, _fp_polymulmod(list(self.coeffs), list(other.coeffs), list(h), self.p)
-        )
+        return ResidueElement(self.p, self.f, _vec_mul_mod(self.coeffs, other.coeffs, h, self.p))
 
     def __pow__(self, e):
         if e < 0:
-            return self.inverse() ** (-e)
-        h = list(modulus_poly(self.p, self.f))
-        return ResidueElement(self.p, self.f, _fp_powmod(list(self.coeffs), e, h, self.p))
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError
-        return self ** (self.p ** self.f - 2)
+            if self.is_zero():
+                raise ZeroDivisionError
+            # the unit group has order p**f - 1
+            e %= self.p ** self.f - 1
+        h = modulus_poly(self.p, self.f)
+        return ResidueElement(self.p, self.f, _vec_pow_mod(self.coeffs, e, h, self.p))
 
     def one_like(self):
         return ResidueElement(self.p, self.f, (1,) + (0,) * (self.f - 1))
@@ -593,7 +305,7 @@ def multiplicative_generator(p, f):
 
 
 # ---------------------------------------------------------------------------
-# unramified scalars
+# scalars
 # ---------------------------------------------------------------------------
 
 
@@ -608,16 +320,10 @@ class UnramifiedScalar:
 
     __slots__ = ("p", "f", "v", "coeff", "M", "zprec")
 
-    def __init__(self, p, f, v, coeff, rel_prec, _zero_prec=None):
+    def __init__(self, p, f, v, coeff, rel_prec):
         check_prime(p)
         self.p = p
         self.f = f
-        if _zero_prec is not None:
-            self.v = None
-            self.coeff = (0,) * f
-            self.M = 0
-            self.zprec = _zero_prec
-            return
         if rel_prec < 1:
             raise ValueError("relative precision must be >= 1")
         if len(coeff) != f:
@@ -631,11 +337,23 @@ class UnramifiedScalar:
         self.M = rel_prec
         self.zprec = None
 
+    @classmethod
+    def _new(cls, p, f, v, coeff, m):
+        # trusted constructor for data already normalized: a unit vector
+        # reduced mod p**m, or with v None the zero coset O(p**m)
+        x = object.__new__(cls)
+        x.p, x.f, x.v = p, f, v
+        if v is None:
+            x.coeff, x.M, x.zprec = (0,) * f, 0, m
+        else:
+            x.coeff, x.M, x.zprec = coeff, m, None
+        return x
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero_at(cls, p, f, abs_prec):
-        return cls(p, f, 0, (), 0, _zero_prec=abs_prec)
+        return cls._new(check_prime(p), f, None, None, abs_prec)
 
     @classmethod
     def one(cls, p, f, rel_prec):
@@ -643,9 +361,11 @@ class UnramifiedScalar:
 
     @classmethod
     def from_padic(cls, x, f):
-        if x.v is None:
-            return cls.zero_at(x.p, f, x.zprec)
-        return cls(x.p, f, x.v, (x.u,) + (0,) * (f - 1), x.M)
+        """The Q_p value x (of either class) inside Q_{p^f}."""
+        if x.f != 1:
+            raise ValueError("cannot mix extensions of degree %d and %d" % (x.f, f))
+        m = x.zprec if x.v is None else x.M
+        return cls._new(x.p, f, x.v, x.coeff + (0,) * (f - 1), m)
 
     @classmethod
     def from_residue(cls, xi, rel_prec):
@@ -654,11 +374,10 @@ class UnramifiedScalar:
         return cls(xi.p, xi.f, 0, xi.coeffs, rel_prec)
 
     def to_padic(self):
-        if self.v is None:
-            return PadicScalar.zero_at(self.p, self.zprec)
         if any(self.coeff[1:]):
             raise ValueError("element does not lie in Q_p")
-        return PadicScalar(self.p, self.v, self.coeff[0], self.M)
+        m = self.zprec if self.v is None else self.M
+        return PadicScalar._new(self.p, 1, self.v, self.coeff[:1], m)
 
     # -- queries -----------------------------------------------------------
 
@@ -672,12 +391,19 @@ class UnramifiedScalar:
 
     @property
     def valuation(self):
+        # None means "only a lower bound, namely abs_prec, is known"
         return self.v
 
     def norm_exponent(self):
+        """e with |x| = p**(-e); for a zero coset this is a lower bound."""
         return self.zprec if self.v is None else self.v
 
     def is_zero_to(self, tau):
+        """Exact three-way test of |x| <= p**(-tau).
+
+        True/False when the stored precision decides it, PrecisionError when
+        the coset is too coarse to tell.
+        """
         if self.v is not None:
             return self.v >= tau
         if self.zprec >= tau:
@@ -698,6 +424,7 @@ class UnramifiedScalar:
         return tuple(out)
 
     def residue(self):
+        """Image in the residue field F_{p^f}; requires v >= 0."""
         if self.v is None:
             if self.zprec < 1:
                 raise PrecisionError("residue of an imprecise zero")
@@ -706,15 +433,16 @@ class UnramifiedScalar:
             raise ValueError("residue of a non-integral scalar")
         if self.v > 0:
             return ResidueElement(self.p, self.f, (0,) * self.f)
-        return ResidueElement(self.p, self.f, tuple(c % self.p for c in self.coeff))
+        return ResidueElement(self.p, self.f, self.coeff)
 
     def truncate_abs(self, n):
+        """The same coset coarsened to absolute precision n."""
         if n > self.abs_prec:
             raise PrecisionError("cannot refine precision from %d to %d" % (self.abs_prec, n))
         if self.v is None or self.v >= n:
-            return UnramifiedScalar.zero_at(self.p, self.f, n)
+            return self._new(self.p, self.f, None, None, n)
         pm = self.p ** (n - self.v)
-        return UnramifiedScalar(self.p, self.f, self.v, tuple(c % pm for c in self.coeff), n - self.v)
+        return self._new(self.p, self.f, self.v, tuple(c % pm for c in self.coeff), n - self.v)
 
     def __eq__(self, other):
         if not isinstance(other, UnramifiedScalar):
@@ -728,9 +456,11 @@ class UnramifiedScalar:
         return hash((self.p, self.f, self.v, self.coeff, self.M, self.zprec))
 
     def __repr__(self):
+        name = type(self).__name__
         if self.v is None:
-            return "UnramifiedScalar(p=%d, f=%d, O(p^%d))" % (self.p, self.f, self.zprec)
-        return "UnramifiedScalar(p=%d, f=%d, p^%d * (%s + O(p^%d)))" % (
+            return "%s(p=%d, f=%d, O(p^%d))" % (name, self.p, self.f, self.zprec)
+        return "%s(p=%d, f=%d, p^%d * (%s + O(p^%d)))" % (
+            name,
             self.p,
             self.f,
             self.v,
@@ -740,60 +470,59 @@ class UnramifiedScalar:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _lift_modulus(self):
-        return modulus_poly(self.p, self.f)
-
     def _coerce(self, other):
-        if isinstance(other, UnramifiedScalar):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            if other.f != self.f:
-                if other.f == 1:
-                    x = other
-                    if x.v is None:
-                        return UnramifiedScalar.zero_at(self.p, self.f, x.zprec)
-                    return UnramifiedScalar(self.p, self.f, x.v, x.coeff + (0,) * (self.f - 1), x.M)
-                raise ValueError("mixed extension degrees %d and %d" % (self.f, other.f))
-            return other
-        if isinstance(other, PadicScalar):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return UnramifiedScalar.from_padic(other, self.f)
+        """(x, y, cls): self and other over one Q_{p^f} and the class of
+        their result, or None for an operand of another type.  Exact
+        rationals enter at whatever absolute precision self carries."""
+        p, f = self.p, self.f
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                return UnramifiedScalar.zero_at(self.p, self.f, max(1, self.abs_prec))
-            vq = int_valuation(q.numerator, self.p)[0] - int_valuation(q.denominator, self.p)[0]
-            rel = max(1, self.abs_prec - vq)
-            return UnramifiedScalar.from_padic(PadicScalar.from_fraction(self.p, q, rel), self.f)
-        return None
+            q, n = Fraction(other), self.abs_prec
+            if q:
+                vn, un = int_valuation(q.numerator, p)
+                vd, ud = int_valuation(q.denominator, p)
+                m = n - vn + vd
+                if m > 0:
+                    pm = p ** m
+                    unit = (un * pow(ud, -1, pm) % pm,) + (0,) * (f - 1)
+                    return self, self._new(p, f, vn - vd, unit, m), type(self)
+            return self, self._new(p, f, None, None, n), type(self)
+        if not isinstance(other, UnramifiedScalar):
+            return None
+        if other.p != p:
+            raise ValueError("mixed primes")
+        cls = type(self) if type(other) is type(self) else UnramifiedScalar
+        if other.f == f:
+            return self, other, cls
+        if other.f == 1:
+            return self, UnramifiedScalar.from_padic(other, f), cls
+        if f == 1:
+            return UnramifiedScalar.from_padic(self, other.f), other, cls
+        raise ValueError("mixed extension degrees %d and %d" % (f, other.f))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        pair = self._coerce(other)
+        if pair is None:
             return NotImplemented
-        p, f = self.p, self.f
-        n = min(self.abs_prec, other.abs_prec)
-        if self.v is None and other.v is None:
-            return UnramifiedScalar.zero_at(p, f, n)
-        shift = min([x.v for x in (self, other) if x.v is not None] + [0])
+        x, y, cls = pair
+        p, f = x.p, x.f
+        n = min(x.abs_prec, y.abs_prec)
+        # common shift keeps everything integral when valuations are negative;
+        # a nonzero term with valuation >= n vanishes mod p**n
+        shift = min([t.v for t in (x, y) if t.v is not None] + [n])
         total = [0] * f
-        for x in (self, other):
-            if x.v is not None:
-                scale = p ** (x.v - shift)
-                for i, c in enumerate(x.coeff):
+        for t in (x, y):
+            if t.v is not None:
+                scale = p ** (t.v - shift)
+                for i, c in enumerate(t.coeff):
                     total[i] += scale * c
         pn = p ** (n - shift)
         total = [c % pn for c in total]
-        if all(c == 0 for c in total):
-            return UnramifiedScalar.zero_at(p, f, n)
-        vmin = min(int_valuation(c, p)[0] for c in total if c)
-        vmin = min(vmin, n - shift)
+        vmin = min([int_valuation(c, p)[0] for c in total if c] + [n - shift])
         v = vmin + shift
         if v >= n:
-            return UnramifiedScalar.zero_at(p, f, n)
+            return cls._new(p, f, None, None, n)
         pm = p ** (n - v)
-        return UnramifiedScalar(p, f, v, tuple((c // p ** vmin) % pm for c in total), n - v)
+        return cls._new(p, f, v, tuple((c // p ** vmin) % pm for c in total), n - v)
 
     __radd__ = __add__
 
@@ -801,44 +530,32 @@ class UnramifiedScalar:
         if self.v is None:
             return self
         pm = self.p ** self.M
-        return UnramifiedScalar(self.p, self.f, self.v, tuple(-c % pm for c in self.coeff), self.M)
+        return self._new(self.p, self.f, self.v, tuple(-c % pm for c in self.coeff), self.M)
 
     def __sub__(self, other):
-        other2 = self._coerce(other)
-        if other2 is None:
+        if not isinstance(other, (UnramifiedScalar, int, Fraction)):
             return NotImplemented
-        return self.__add__(-other2)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
-    def _mul_units(self, a, b, rel):
-        p, f = self.p, self.f
-        pm = p ** rel
-        h = self._lift_modulus()
-        prod = [0] * (2 * f - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % pm
-        for k in range(2 * f - 2, f - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(f):
-                    prod[k - f + i] = (prod[k - f + i] - c * h[i]) % pm
-        return tuple(prod[:f])
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                # exact zero has no representation here; a coset bound must do
+                return self._new(self.p, self.f, None, None, self.abs_prec)
+            return self.divexact_rational(1 / Fraction(other))
+        pair = self._coerce(other)
+        if pair is None:
             return NotImplemented
-        p, f = self.p, self.f
-        if self.v is None or other.v is None:
-            bound = self.norm_exponent() + other.norm_exponent()
-            return UnramifiedScalar.zero_at(p, f, max(1, bound))
-        m = min(self.M, other.M)
-        return UnramifiedScalar(p, f, self.v + other.v, self._mul_units(self.coeff, other.coeff, m), m)
+        x, y, cls = pair
+        p, f = x.p, x.f
+        if x.v is None or y.v is None:
+            return cls._new(p, f, None, None, x.norm_exponent() + y.norm_exponent())
+        m = min(x.M, y.M)
+        unit = _vec_mul_mod(x.coeff, y.coeff, modulus_poly(p, f), p ** m)
+        return cls._new(p, f, x.v + y.v, tuple(unit), m)
 
     __rmul__ = __mul__
 
@@ -846,28 +563,27 @@ class UnramifiedScalar:
         if self.v is None:
             raise ZeroDivisionError("not invertible at this precision")
         p, f, m = self.p, self.f, self.M
-        h = list(self._lift_modulus())
+        h = modulus_poly(p, f)
         # invert the residue, then Newton-lift the inverse through p^m
-        res = [c % p for c in self.coeff]
-        inv0 = ResidueElement(p, f, tuple(res)).inverse().coeffs
-        cur = list(inv0)
+        cur = list((ResidueElement(p, f, self.coeff) ** -1).coeffs)
         prec = 1
         while prec < m:
             prec = min(2 * prec, m)
             pm = p ** prec
-            prod = self._mul_units(tuple(c % pm for c in self.coeff), tuple(cur + [0] * (f - len(cur))), prec)
-            two_minus = [(-c) % pm for c in prod]
+            two_minus = [-c % pm for c in _vec_mul_mod(self.coeff, cur, h, pm)]
             two_minus[0] = (two_minus[0] + 2) % pm
-            cur = list(self._mul_units(tuple(cur + [0] * (f - len(cur))), tuple(two_minus), prec))
-        return UnramifiedScalar(p, f, -self.v, tuple(cur), m)
+            cur = _vec_mul_mod(cur, two_minus, h, pm)
+        return self._new(p, f, -self.v, tuple(cur), m)
 
     def __truediv__(self, other):
-        other2 = self._coerce(other)
-        if other2 is None:
+        if isinstance(other, (int, Fraction)):
+            return self.divexact_rational(other)
+        if not isinstance(other, UnramifiedScalar):
             return NotImplemented
-        return self * other2.inverse()
+        return self * other.inverse()
 
     def divexact_rational(self, q):
+        """Exact division by a rational; no precision is lost."""
         q = Fraction(q)
         if q == 0:
             raise ZeroDivisionError
@@ -875,91 +591,136 @@ class UnramifiedScalar:
         vn, un = int_valuation(q.numerator, p)
         vd, ud = int_valuation(q.denominator, p)
         if self.v is None:
-            return UnramifiedScalar.zero_at(p, self.f, max(1, self.zprec - vn + vd))
+            return self._new(p, self.f, None, None, self.zprec - vn + vd)
         pm = p ** self.M
         scale = (pow(un, -1, pm) * ud) % pm
-        return UnramifiedScalar(
-            p, self.f, self.v - vn + vd, tuple((c * scale) % pm for c in self.coeff), self.M
-        )
+        unit = tuple((c * scale) % pm for c in self.coeff)
+        return self._new(p, self.f, self.v - vn + vd, unit, self.M)
 
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
         if self.v is None:
             if e <= 0:
-                raise ZeroDivisionError
-            return UnramifiedScalar.zero_at(self.p, self.f, self.zprec * e)
-        if e == 0:
-            return UnramifiedScalar.one(self.p, self.f, self.M)
-        base = self if e > 0 else self.inverse()
-        k = abs(e)
-        result = (1,) + (0,) * (self.f - 1)
-        acc = base.coeff
-        bits = k
-        while bits:
-            if bits & 1:
-                result = self._mul_units(result, acc, base.M)
-            bits >>= 1
-            if bits:
-                acc = self._mul_units(acc, acc, base.M)
-        return UnramifiedScalar(self.p, self.f, base.v * k, result, base.M)
+                raise ZeroDivisionError("power of zero coset with exponent <= 0")
+            return self._new(self.p, self.f, None, None, self.zprec * e)
+        base = self if e >= 0 else self.inverse()
+        unit = _vec_pow_mod(base.coeff, abs(e), modulus_poly(self.p, self.f), self.p ** self.M)
+        return self._new(self.p, self.f, base.v * abs(e), tuple(unit), self.M)
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
         # f = 1 is Q_p itself; serialize through the flat form so the
-        # document does not depend on which wrapper held the value
-        if self.f == 1:
-            return self.to_padic().to_json()
+        # document does not depend on which class held the value
         if self.v is None:
             return {"p": self.p, "f": self.f, "v": "zero", "unit_digits": [], "rel_prec": self.zprec}
+        digits = [_digits(c, self.p, self.M) for c in self.coeff]
         return {
             "p": self.p,
             "f": self.f,
             "v": self.v,
-            "unit_digits": [_digits(c, self.p, self.M) for c in self.coeff],
+            "unit_digits": digits[0] if self.f == 1 else digits,
             "rel_prec": self.M,
         }
 
 
-class DomainError(ValueError):
-    """Input lies outside the convergence region of the requested map."""
+class PadicScalar(UnramifiedScalar):
+    """Element of Q_p known exactly modulo p**(v + M): the f = 1 scalar."""
+
+    __slots__ = ()
+
+    def __init__(self, p, v, u, rel_prec):
+        super().__init__(p, 1, v, (u,), rel_prec)
+
+    @classmethod
+    def zero_at(cls, p, abs_prec):
+        return super().zero_at(p, 1, abs_prec)
+
+    @classmethod
+    def one(cls, p, rel_prec):
+        return cls(p, 0, 1, rel_prec)
+
+    @classmethod
+    def from_fraction(cls, p, q, rel_prec):
+        q = Fraction(q)
+        if rel_prec < 1:
+            raise ValueError("relative precision must be >= 1")
+        if q == 0:
+            return cls.zero_at(p, rel_prec)
+        vn, un = int_valuation(q.numerator, p)
+        vd, ud = int_valuation(q.denominator, p)
+        return cls(p, vn - vd, un * pow(ud, -1, p ** rel_prec), rel_prec)
+
+    @classmethod
+    def from_int(cls, p, n, rel_prec):
+        return cls.from_fraction(p, n, rel_prec)
+
+    @property
+    def u(self):
+        return self.coeff[0]
+
+    def rep(self):
+        """Canonical rational representative of the coset."""
+        if self.v is None:
+            return Fraction(0)
+        if self.v >= 0:
+            return Fraction((self.p ** self.v * self.u) % self.p ** self.abs_prec)
+        return Fraction(self.u, self.p ** (-self.v))
+
+    def rep_int(self):
+        r = self.rep()
+        if r.denominator != 1:
+            raise ValueError("negative valuation has no integer representative")
+        return r.numerator
+
+    def residue(self):
+        """Image in F_p as an integer; requires v >= 0."""
+        return super().residue().coeffs[0]
 
 
-# ---------------------------------------------------------------------------
-# coefficient-vector helpers shared by the lift and the exp/log kernels
-# ---------------------------------------------------------------------------
+def _digits(n, p, count):
+    out = []
+    for _ in range(count):
+        out.append(n % p)
+        n //= p
+    return out
 
 
-def _vec_mul_mod(a, b, h, pm):
-    f = len(h) - 1
+def _undigits(ds, p):
+    n = 0
+    for d in reversed(ds):
+        n = n * p + d
+    return n
+
+
+def scalar_from_json(doc):
+    p = doc["p"]
+    f = doc.get("f", 1)
+    n = doc["rel_prec"]
+    if n < 1:
+        # arithmetic may coarsen a zero coset below O(1); a document may not
+        raise ValueError("relative precision must be >= 1")
+    if doc["v"] == "zero":
+        if f == 1:
+            return PadicScalar.zero_at(p, n)
+        return UnramifiedScalar.zero_at(p, f, n)
     if f == 1:
-        return [a[0] * b[0] % pm]
-    prod = [0] * (2 * f - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % pm
-    for k in range(2 * f - 2, f - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for i in range(f):
-                prod[k - f + i] = (prod[k - f + i] - c * h[i]) % pm
-    return prod[:f]
+        return PadicScalar(p, doc["v"], _undigits(doc["unit_digits"], p), n)
+    coeffs = tuple(_undigits(ds, p) for ds in doc["unit_digits"])
+    return UnramifiedScalar(p, f, doc["v"], coeffs, n)
 
 
-def _vec_pow_mod(a, e, h, pm):
-    f = len(h) - 1
-    result = [1] + [0] * (f - 1)
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _vec_mul_mod(result, base, h, pm)
-        e >>= 1
-        if e:
-            base = _vec_mul_mod(base, base, h, pm)
-    return result
+def coset_eq(x, y):
+    """Equality of the cosets after coarsening to the shared precision."""
+    n = min(x.abs_prec, y.abs_prec)
+    a, b = x.truncate_abs(n), y.truncate_abs(n)
+    return a == b
+
+
+# ---------------------------------------------------------------------------
+# multiplicative lifts
+# ---------------------------------------------------------------------------
 
 
 def teichmuller(xi, prec):
@@ -1042,14 +803,6 @@ def _log_term_count(w, p, n):
     return k
 
 
-def _as_vector_scalar(x):
-    if isinstance(x, PadicScalar):
-        return UnramifiedScalar.from_padic(x, 1), True
-    if isinstance(x, UnramifiedScalar):
-        return x, False
-    raise TypeError("expected a p-adic scalar")
-
-
 def _exp_domain_check(x):
     bound = exp_domain_bound(x.p)
     if x.v is None:
@@ -1065,27 +818,26 @@ def _exp_domain_check(x):
 def padic_exp(x, prec=None):
     """exp on its convergence disc: valuation >= 1 (>= 2 when p = 2).
 
-    The result is a unit congruent to 1; it is determined exactly to the
-    input's absolute precision, so prec beyond that raises PrecisionError.
+    The result is a unit congruent to 1, of the input's class; it is
+    determined exactly to the input's absolute precision, so prec beyond
+    that raises PrecisionError.
     """
-    xu, scalar_out = _as_vector_scalar(x)
-    _exp_domain_check(xu)
-    p, f = xu.p, xu.f
-    avail = xu.abs_prec
+    _exp_domain_check(x)
+    p, f = x.p, x.f
+    avail = x.abs_prec
     n = avail if prec is None else prec
     if n < 1:
         raise ValueError("target precision must be >= 1")
     if n > avail:
         raise PrecisionError("exp target precision %d exceeds input precision %d" % (n, avail))
-    if xu.v is None or xu.v >= n:
-        out = UnramifiedScalar(p, f, 0, (1,) + (0,) * (f - 1), n)
-        return out.to_padic() if scalar_out else out
-    v = xu.v
+    if x.v is None or x.v >= n:
+        return x._new(p, f, 0, (1,) + (0,) * (f - 1), n)
+    v = x.v
     j_count = _exp_term_count(v, p, n)
     guard = (j_count - 1 - digit_sum(j_count - 1, p)) // (p - 1)
     pm = p ** (n + guard)
     h = modulus_poly(p, f)
-    rep = [c * p ** v % pm for c in xu.coeff]
+    rep = [c * p ** v % pm for c in x.coeff]
     # Horner over j < j_count of ((j_count-1)!/j!) x^j, with the factorial
     # guard p**guard divided back out at the end
     acc = [1] + [0] * (f - 1)
@@ -1108,21 +860,20 @@ def padic_exp(x, prec=None):
         if s % pg:
             raise AssertionError("factorial guard mismatch; unreachable")
         out_coeff.append(s // pg * w_inv % pn)
-    out = UnramifiedScalar(p, f, 0, tuple(out_coeff), n)
-    return out.to_padic() if scalar_out else out
+    return x._new(p, f, 0, tuple(out_coeff), n)
 
 
 def padic_log(x, prec=None):
-    """log on units congruent to 1 mod p (mod 4 when p = 2)."""
-    xu, scalar_out = _as_vector_scalar(x)
-    p, f = xu.p, xu.f
+    """log on units congruent to 1 mod p (mod 4 when p = 2); the result
+    has the input's class."""
+    p, f = x.p, x.f
     bound = exp_domain_bound(p)
-    if xu.v is None:
+    if x.v is None:
         raise DomainError("log needs a unit congruent to 1, got a zero coset")
-    if xu.v != 0:
-        raise DomainError("log domain requires a unit, got valuation %d" % xu.v)
-    z = xu - 1
-    avail = xu.abs_prec
+    if x.v != 0:
+        raise DomainError("log domain requires a unit, got valuation %d" % x.v)
+    z = x - 1
+    avail = x.abs_prec
     n = avail if prec is None else prec
     if n < 1:
         raise ValueError("target precision must be >= 1")
@@ -1134,14 +885,12 @@ def padic_log(x, prec=None):
                 "log domain needs norm <= 1/p^%d below 1; input only known to O(p^%d)"
                 % (bound, z.zprec)
             )
-        out = UnramifiedScalar.zero_at(p, f, min(n, z.zprec))
-        return out.to_padic() if scalar_out else out
+        return x._new(p, f, None, None, min(n, z.zprec))
     if z.v < bound:
         raise DomainError("log domain requires valuation >= %d below 1, got %d" % (bound, z.v))
     w = z.v
     if w >= n:
-        out = UnramifiedScalar.zero_at(p, f, n)
-        return out.to_padic() if scalar_out else out
+        return x._new(p, f, None, None, n)
     k_count = _log_term_count(w, p, n)
     lcm = 1
     for k in range(1, k_count):
@@ -1165,134 +914,8 @@ def padic_log(x, prec=None):
         if s % pg:
             raise AssertionError("lcm guard mismatch; unreachable")
         out_coeff.append(s // pg * w_inv % pn)
-    if all(c == 0 for c in out_coeff):
-        out = UnramifiedScalar.zero_at(p, f, n)
-        return out.to_padic() if scalar_out else out
-    vmin = min(int_valuation(c, p)[0] for c in out_coeff if c)
+    vmin = min([int_valuation(c, p)[0] for c in out_coeff if c] + [n])
     if vmin >= n:
-        out = UnramifiedScalar.zero_at(p, f, n)
-        return out.to_padic() if scalar_out else out
+        return x._new(p, f, None, None, n)
     pmv = p ** (n - vmin)
-    out = UnramifiedScalar(
-        p, f, vmin, tuple(c // p ** vmin % pmv for c in out_coeff), n - vmin
-    )
-    return out.to_padic() if scalar_out else out
-
-
-# ---------------------------------------------------------------------------
-# slow exact-rational references; independent of the kernels above
-# ---------------------------------------------------------------------------
-
-
-def _fraction_vector(xu):
-    if xu.v is None:
-        return [Fraction(0)] * xu.f
-    scale = Fraction(xu.p) ** xu.v
-    return [scale * c for c in xu.coeff]
-
-
-def unramified_from_fractions(p, f, qs, abs_prec):
-    """Assemble a scalar from exact power-basis coordinates, truncated."""
-    qs = [Fraction(q) for q in qs]
-    if all(q == 0 for q in qs):
-        return UnramifiedScalar.zero_at(p, f, abs_prec)
-    vals = []
-    for q in qs:
-        if q == 0:
-            continue
-        vals.append(
-            int_valuation(q.numerator, p)[0] - int_valuation(q.denominator, p)[0]
-        )
-    v = min(vals)
-    if v >= abs_prec:
-        return UnramifiedScalar.zero_at(p, f, abs_prec)
-    m = abs_prec - v
-    pm = p ** m
-    coeffs = []
-    for q in qs:
-        q = q / Fraction(p) ** v
-        den = q.denominator
-        if den % p == 0:
-            raise AssertionError("denominator kept a p factor after scaling; unreachable")
-        coeffs.append(q.numerator % pm * pow(den, -1, pm) % pm)
-    return UnramifiedScalar(p, f, v, tuple(coeffs), m)
-
-
-def _exp_reference(x, prec=None):
-    """Term-by-term exact-Fraction exponential; test oracle for padic_exp."""
-    xu, scalar_out = _as_vector_scalar(x)
-    _exp_domain_check(xu)
-    p, f = xu.p, xu.f
-    avail = xu.abs_prec
-    n = avail if prec is None else prec
-    if n > avail:
-        raise PrecisionError("exp target precision %d exceeds input precision %d" % (n, avail))
-    if xu.v is None or xu.v >= n:
-        out = UnramifiedScalar(p, f, 0, (1,) + (0,) * (f - 1), n)
-        return out.to_padic() if scalar_out else out
-    j_count = _exp_term_count(xu.v, p, n)
-    h = modulus_poly(p, f)
-    rep = _fraction_vector(xu)
-    total = [Fraction(0)] * f
-    total[0] = Fraction(1)
-    power = [Fraction(0)] * f
-    power[0] = Fraction(1)
-    fact = 1
-    for j in range(1, j_count):
-        power = _frac_vec_mul_mod(power, rep, h)
-        fact *= j
-        for i in range(f):
-            total[i] += power[i] / fact
-    out = unramified_from_fractions(p, f, total, n)
-    return out.to_padic() if scalar_out else out
-
-
-def _log_reference(x, prec=None):
-    """Term-by-term exact-Fraction logarithm; test oracle for padic_log."""
-    xu, scalar_out = _as_vector_scalar(x)
-    p, f = xu.p, xu.f
-    bound = exp_domain_bound(p)
-    if xu.v != 0:
-        raise DomainError("log domain requires a unit")
-    z = xu - 1
-    avail = xu.abs_prec
-    n = avail if prec is None else prec
-    if z.v is None:
-        out = UnramifiedScalar.zero_at(p, f, min(n, z.zprec))
-        return out.to_padic() if scalar_out else out
-    if z.v < bound:
-        raise DomainError("log domain requires valuation >= %d below 1" % bound)
-    if z.v >= n:
-        out = UnramifiedScalar.zero_at(p, f, n)
-        return out.to_padic() if scalar_out else out
-    k_count = _log_term_count(z.v, p, n)
-    h = modulus_poly(p, f)
-    rep = _fraction_vector(z)
-    total = [Fraction(0)] * f
-    power = [Fraction(0)] * f
-    power[0] = Fraction(1)
-    for k in range(1, k_count):
-        power = _frac_vec_mul_mod(power, rep, h)
-        sign = 1 if k % 2 == 1 else -1
-        for i in range(f):
-            total[i] += Fraction(sign, k) * power[i]
-    out = unramified_from_fractions(p, f, total, n)
-    return out.to_padic() if scalar_out else out
-
-
-def _frac_vec_mul_mod(a, b, h):
-    f = len(h) - 1
-    if f == 1:
-        return [a[0] * b[0]]
-    prod = [Fraction(0)] * (2 * f - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for k in range(2 * f - 2, f - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = Fraction(0)
-            for i in range(f):
-                prod[k - f + i] -= c * h[i]
-    return prod[:f]
+    return x._new(p, f, vmin, tuple(c // p ** vmin % pmv for c in out_coeff), n - vmin)

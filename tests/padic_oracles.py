@@ -1,0 +1,124 @@
+"""Slow exact-rational references for the p-adic kernels.
+
+Every value here is an exact Fraction vector over the power basis of
+Q_{p^f}; nothing is truncated until the final coset is assembled, so
+these share no arithmetic with the library's scalar and vector kernels.
+"""
+
+from fractions import Fraction
+
+from padicloci.padic import (
+    DomainError,
+    PrecisionError,
+    UnramifiedScalar,
+    _exp_domain_check,
+    _exp_term_count,
+    _log_term_count,
+    exp_domain_bound,
+    int_valuation,
+    modulus_poly,
+)
+
+
+def fraction_valuation(q, p):
+    return int_valuation(q.numerator, p)[0] - int_valuation(q.denominator, p)[0]
+
+
+def _fraction_vector(xu):
+    if xu.v is None:
+        return [Fraction(0)] * xu.f
+    scale = Fraction(xu.p) ** xu.v
+    return [scale * c for c in xu.coeff]
+
+
+def unramified_from_fractions(p, f, qs, abs_prec):
+    """Assemble a scalar from exact power-basis coordinates, truncated."""
+    qs = [Fraction(q) for q in qs]
+    if all(q == 0 for q in qs):
+        return UnramifiedScalar.zero_at(p, f, abs_prec)
+    v = min(fraction_valuation(q, p) for q in qs if q != 0)
+    if v >= abs_prec:
+        return UnramifiedScalar.zero_at(p, f, abs_prec)
+    m = abs_prec - v
+    pm = p ** m
+    coeffs = []
+    for q in qs:
+        q = q / Fraction(p) ** v
+        den = q.denominator
+        if den % p == 0:
+            raise AssertionError("denominator kept a p factor after scaling; unreachable")
+        coeffs.append(q.numerator % pm * pow(den, -1, pm) % pm)
+    return UnramifiedScalar(p, f, v, tuple(coeffs), m)
+
+
+def _frac_vec_mul_mod(a, b, h):
+    f = len(h) - 1
+    if f == 1:
+        return [a[0] * b[0]]
+    prod = [Fraction(0)] * (2 * f - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for k in range(2 * f - 2, f - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = Fraction(0)
+            for i in range(f):
+                prod[k - f + i] -= c * h[i]
+    return prod[:f]
+
+
+def _exp_reference(x, prec=None):
+    """Term-by-term exact-Fraction exponential; test oracle for padic_exp."""
+    _exp_domain_check(x)
+    p, f = x.p, x.f
+    avail = x.abs_prec
+    n = avail if prec is None else prec
+    if n > avail:
+        raise PrecisionError("exp target precision %d exceeds input precision %d" % (n, avail))
+    if x.v is None or x.v >= n:
+        return UnramifiedScalar(p, f, 0, (1,) + (0,) * (f - 1), n)
+    j_count = _exp_term_count(x.v, p, n)
+    h = modulus_poly(p, f)
+    rep = _fraction_vector(x)
+    total = [Fraction(0)] * f
+    total[0] = Fraction(1)
+    power = [Fraction(0)] * f
+    power[0] = Fraction(1)
+    fact = 1
+    for j in range(1, j_count):
+        power = _frac_vec_mul_mod(power, rep, h)
+        fact *= j
+        for i in range(f):
+            total[i] += power[i] / fact
+    return unramified_from_fractions(p, f, total, n)
+
+
+def _log_reference(x, prec=None):
+    """Term-by-term exact-Fraction logarithm; test oracle for padic_log."""
+    p, f = x.p, x.f
+    bound = exp_domain_bound(p)
+    if x.v != 0:
+        raise DomainError("log domain requires a unit")
+    z = x - 1
+    avail = x.abs_prec
+    n = avail if prec is None else prec
+    if z.v is None:
+        return UnramifiedScalar.zero_at(p, f, min(n, z.zprec))
+    if z.v < bound:
+        raise DomainError("log domain requires valuation >= %d below 1" % bound)
+    if z.v >= n:
+        return UnramifiedScalar.zero_at(p, f, n)
+    k_count = _log_term_count(z.v, p, n)
+    h = modulus_poly(p, f)
+    rep = _fraction_vector(z)
+    total = [Fraction(0)] * f
+    power = [Fraction(0)] * f
+    power[0] = Fraction(1)
+    for k in range(1, k_count):
+        power = _frac_vec_mul_mod(power, rep, h)
+        sign = 1 if k % 2 == 1 else -1
+        for i in range(f):
+            total[i] += Fraction(sign, k) * power[i]
+    return unramified_from_fractions(p, f, total, n)

@@ -9,8 +9,6 @@ from padicloci.padic import (
     PrecisionError,
     ResidueElement,
     UnramifiedScalar,
-    _exp_reference,
-    _log_reference,
     coset_eq,
     embed_root_of_unity,
     exp_domain_bound,
@@ -21,6 +19,8 @@ from padicloci.padic import (
     scalar_from_json,
     teichmuller,
 )
+
+from padic_oracles import _exp_reference, _log_reference
 
 
 def random_fraction(rng, p):
@@ -118,6 +118,57 @@ def test_divexact_rational_loses_no_precision():
     y = x.divexact_rational(Fraction(2, 7))
     assert y.abs_prec >= x.abs_prec
     assert coset_eq(y, PadicScalar.from_int(5, 3, 6))
+
+
+def test_zero_cosets_are_not_clamped_to_positive_precision():
+    # O(5) / 125 is O(5^-2), and so is O(5) times 5^-3
+    z1 = PadicScalar.zero_at(5, 1)
+    z2 = UnramifiedScalar.zero_at(5, 2, 1)
+    assert z1.divexact_rational(125) == PadicScalar.zero_at(5, -2)
+    assert z2.divexact_rational(125) == UnramifiedScalar.zero_at(5, 2, -2)
+    x1 = PadicScalar.from_fraction(5, Fraction(2, 125), 4)
+    x2 = UnramifiedScalar.from_residue(ResidueElement(5, 2, (1, 3)), 4).divexact_rational(125)
+    assert z1 * x1 == PadicScalar.zero_at(5, -2)
+    assert x2 * z2 == UnramifiedScalar.zero_at(5, 2, -2)
+
+
+def test_cancellation_below_precision_one_is_the_zero_coset():
+    # 5^-3 + O(5^-2) minus itself
+    x1 = PadicScalar.from_fraction(5, Fraction(1, 125), 1)
+    x2 = UnramifiedScalar.from_residue(ResidueElement(5, 2, (2, 1)), 1).divexact_rational(125)
+    assert x1 - x1 == PadicScalar.zero_at(5, -2)
+    assert isinstance(x1 - x1, PadicScalar)
+    assert x2 - x2 == UnramifiedScalar.zero_at(5, 2, -2)
+
+
+def test_rational_operands_multiply_exactly_in_every_degree():
+    x = UnramifiedScalar.from_residue(ResidueElement(5, 2, (2, 3)), 10)
+    y = x * 5
+    assert (y.v, y.M) == (1, 10)
+    assert y / 5 == x
+    assert x * Fraction(3, 25) == x.divexact_rational(Fraction(25, 3))
+
+
+def test_result_class_follows_the_operands():
+    a = PadicScalar.from_int(7, 3, 5)
+    w = teichmuller(ResidueElement.from_int(7, 3), 5)
+    assert type(w) is UnramifiedScalar and w.f == 1
+    for r in (a + a, a - 1, 2 * a, a / a, a ** -2, a.divexact_rational(7)):
+        assert type(r) is PadicScalar
+    for r in (a * w, w * a, a + w, w - a, a / w):
+        assert type(r) is UnramifiedScalar
+    assert (a * w).residue() == ResidueElement.from_int(7, 2)
+    assert a == UnramifiedScalar.from_padic(a, 1) and hash(a) == hash(a.to_padic())
+
+
+def test_json_input_needs_positive_precision():
+    for doc in (
+        {"p": 5, "v": "zero", "unit_digits": [], "rel_prec": 0},
+        {"p": 5, "f": 2, "v": "zero", "unit_digits": [], "rel_prec": -1},
+        {"p": 5, "v": 0, "unit_digits": [], "rel_prec": 0},
+    ):
+        with pytest.raises(ValueError):
+            scalar_from_json(doc)
 
 
 def test_residue_rules():
