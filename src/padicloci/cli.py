@@ -54,6 +54,8 @@ from .series import AnalyticSeries, newton_polygon, strassmann_count
 
 ENV_PREFIX = "PADICLOCI_"
 INPUT_FREE = {"demo"}
+# largest character grid a scan or a verification may walk
+_VERIFY_GRID_CAP = 200000
 
 
 class SchemaError(Exception):
@@ -78,6 +80,13 @@ def _int_field(doc, key, default=None):
     return val
 
 
+def _positive_field(doc, key, default=None):
+    val = _int_field(doc, key, default)
+    if val < 1:
+        raise SchemaError("field '%s' must be >= 1" % key)
+    return val
+
+
 def _prime_field(doc):
     p = _int_field(doc, "p")
     try:
@@ -98,7 +107,7 @@ def _precision(doc, args, default):
     if args.precision is not None:
         return args.precision
     if "precision" in doc:
-        return _int_field(doc, "precision")
+        return _positive_field(doc, "precision")
     return default
 
 
@@ -152,7 +161,7 @@ def _cmd_teichmuller(doc, args):
     p = _prime_field(doc)
     prec = _precision(doc, args, None)
     if prec is None:
-        prec = _int_field(doc, "prec")
+        prec = _positive_field(doc, "prec")
     xi = _need(doc, "xi")
     if isinstance(xi, list):
         res = ResidueElement(p, len(xi), tuple(int(c) for c in xi))
@@ -228,9 +237,7 @@ def _cmd_enumerate_torsion(doc, args):
         coset = TorsionCoset.from_json(_need(doc, "coset", dict))
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError("bad coset: %s" % e)
-    order = _int_field(doc, "order", args.order_bound)
-    if order is None:
-        raise SchemaError("missing field 'order'")
+    order = _positive_field(doc, "order", args.order_bound)
     pts = enumerate_torsion(coset, order)
     return 0, {"count": len(pts), "points": [[str(q) for q in t] for t in pts]}
 
@@ -258,7 +265,9 @@ def _cmd_jumping_scan(doc, args):
     cplx = _complex_in(doc)
     i = _int_field(doc, "i")
     j = _int_field(doc, "j")
-    order = _int_field(doc, "order_bound", args.order_bound or 6)
+    order = _positive_field(doc, "order_bound", args.order_bound or 6)
+    if order ** cplx.nvars > _VERIFY_GRID_CAP:
+        return 1, {"refusal": "scan grid too large"}
     return 0, scan_torsion(cplx, i, j, order).to_json()
 
 
@@ -286,14 +295,15 @@ def _cmd_shape_check(doc, args):
         cplx = _complex_in(doc)
         i = _int_field(doc, "i")
         j = _int_field(doc, "j")
+        order = None
+        if "order_bound" in doc or args.order_bound:
+            order = _positive_field(doc, "order_bound", args.order_bound or 6)
+            if order ** cplx.nvars > _VERIFY_GRID_CAP:
+                return 1, {"refusal": "scan grid too large"}
         gens = fitting_locus(cplx, i, j)
         if gens == SIZE_LIMIT_MESSAGE:
             return 1, {"refusal": SIZE_LIMIT_MESSAGE}
-        scan = None
-        if "order_bound" in doc or args.order_bound:
-            scan = scan_torsion(
-                cplx, i, j, _int_field(doc, "order_bound", args.order_bound or 6)
-            )
+        scan = None if order is None else scan_torsion(cplx, i, j, order)
         verdict = shape_check(gens, nvars=cplx.nvars, scan=scan)
     code = 0 if verdict["verdict"] == "shape confirmed" else 1
     return code, verdict
@@ -303,13 +313,11 @@ def _cmd_shape_check(doc, args):
 # independent verification
 # ---------------------------------------------------------------------------
 
-_VERIFY_GRID_CAP = 200000
-
 
 def _verify_solve(doc, args):
     system = _system_in(doc)
     comps = [TorsionCoset.from_json(c) for c in _need(doc, "components", list)]
-    order = _int_field(doc, "order_bound", args.order_bound or 6)
+    order = _positive_field(doc, "order_bound", args.order_bound or 6)
     total = order ** system.dim
     if total > _VERIFY_GRID_CAP:
         return 1, {"refusal": "verification grid too large"}

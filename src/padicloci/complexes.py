@@ -3,12 +3,22 @@
 A complex here is a chain of free modules over the Laurent ring
 Z[t_1^(+-1) ... t_d^(+-1)] with differentials given by matrices whose
 composites vanish identically.  Specializing the variables at a
-torsion character lands every entry in an exact cyclotomic field, so
-twisted Betti numbers come out of fraction-free rank computations with
-no rounding anywhere.  On top of that sit full torsion scans of the
-jumping condition h^i > j, determinantal generators for the same
-condition, and a shape test that recognizes when those generators cut
-out a union of torsion cosets.
+torsion character lands every entry in an exact cyclotomic field
+Q(zeta_L), with L the lcm of the character's denominators and of the
+coefficient orders, and twisted Betti numbers follow from the ranks.
+
+Those ranks are first bounded over a finite field.  Sending zeta_L to
+a primitive L-th root of unity in F_ell, ell = 1 (mod L) prime, is a
+ring homomorphism on the ell-integral elements, so each rank r_k mod
+ell is a lower bound for the true rank.  Because D^(k+1) D^k = 0, the
+true rank of D^k is at most u_k = min(dims[k] - r_(k-1),
+dims[k+1] - r_(k+1)).  When r_k = u_k for every k the ranks are
+proved; otherwise, or when ell divides a coefficient denominator, the
+exact fraction-free elimination over the cyclotomic field decides.
+Nothing is rounded on either path.  On top of that sit full torsion
+scans of the jumping condition h^i > j, determinantal generators for
+the same condition, and a shape test that recognizes when those
+generators cut out a union of torsion cosets.
 """
 
 from fractions import Fraction
@@ -16,10 +26,10 @@ from itertools import combinations, product
 from math import lcm
 
 from .cosets import BinomialSystem, solve_binomial
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, modular_root
 from .groups import TorsionCharacter
 from .laurent import LaurentPoly, laurent_det, laurent_from_json
-from .linalg import rank_division_free
+from .linalg import rank_division_free, rank_mod_prime
 
 
 class TwistedComplex:
@@ -140,13 +150,59 @@ def _char_values(char, nvars):
     return vals
 
 
-def specialize(cplx, char):
-    """Twisted Betti numbers of the complex at one torsion character.
+def _betti(dims, ranks):
+    out = []
+    for i, r in enumerate(dims):
+        drop = (ranks[i] if i < len(ranks) else 0) + (ranks[i - 1] if i > 0 else 0)
+        out.append(r - drop)
+    return tuple(out)
+
+
+def _modular_ranks(cplx, vals):
+    """Ranks of the differentials proved by reduction mod a prime, or None.
+
+    The ranks over F_ell are lower bounds; they are returned only when
+    each meets the upper bound that the neighbouring ranks impose
+    through D^(k+1) D^k = 0.
+    """
+    coeffs = [c for m in cplx.mats for row in m for e in row for c in e.terms.values()]
+    big = lcm(*(q.denominator for q in vals), *(c.order for c in coeffs))
+    got = modular_root(big)
+    if got is None:
+        return None
+    ell, omega = got
+    point = [q.numerator * (big // q.denominator) for q in vals]
+    ranks = []
+    for m in cplx.mats:
+        rows = []
+        for row in m:
+            out = []
+            for e in row:
+                acc = 0
+                for exp, c in e.terms.items():
+                    img = c.mod_image(ell, pow(omega, big // c.order, ell))
+                    if img is None:
+                        return None
+                    k = sum(x * a for x, a in zip(exp, point)) % big
+                    acc += img * pow(omega, k, ell)
+                out.append(acc % ell)
+            rows.append(out)
+        ranks.append(rank_mod_prime(rows, ell))
+    dims = cplx.dims
+    for k, r in enumerate(ranks):
+        below = ranks[k - 1] if k > 0 else 0
+        above = ranks[k + 1] if k + 1 < len(ranks) else 0
+        if r != min(dims[k] - below, dims[k + 1] - above):
+            return None
+    return ranks
+
+
+def specialize_exact(cplx, char):
+    """Twisted Betti numbers by exact elimination over the cyclotomic field.
 
     Each variable is sent to the exact root of unity the character
     assigns it and ranks are computed by division-free elimination over
-    the cyclotomic field, so h^i = dim ker D^i - rank D^(i-1) comes out
-    exact.
+    Q(zeta_L), so h^i = dim ker D^i - rank D^(i-1) comes out exact.
     """
     vals = _char_values(char, cplx.nvars)
     point = [CycNumber.root_of_unity(q) for q in vals]
@@ -154,11 +210,26 @@ def specialize(cplx, char):
     for m in cplx.mats:
         rows = [[e.evaluate(point) for e in row] for row in m]
         ranks.append(rank_division_free(rows))
-    out = []
-    for i, r in enumerate(cplx.dims):
-        drop = (ranks[i] if i < len(ranks) else 0) + (ranks[i - 1] if i > 0 else 0)
-        out.append(r - drop)
-    return tuple(out)
+    return _betti(cplx.dims, ranks)
+
+
+def specialize(cplx, char):
+    """Twisted Betti numbers of the complex at one torsion character.
+
+    The ranks of the differentials are computed over F_ell at a prime
+    ell = 1 (mod L) first.  Each is a lower bound for the true rank,
+    and D^(k+1) D^k = 0 bounds it above by min(dims[k] - r_(k-1),
+    dims[k+1] - r_(k+1)); where the bounds meet for every k the Betti
+    vector is exact.  Where they do not, or where ell divides a
+    coefficient denominator, `specialize_exact` decides.  On the
+    builtin complexes that happens at the trivial character only, where
+    every differential vanishes and the upper bounds stay above 0.
+    """
+    vals = _char_values(char, cplx.nvars)
+    ranks = _modular_ranks(cplx, vals)
+    if ranks is None:
+        return specialize_exact(cplx, vals)
+    return _betti(cplx.dims, ranks)
 
 
 class JumpingLocusSample:

@@ -460,7 +460,9 @@ def linearity_check(S, action, target, samples=8, seed=0):
             raise DomainError("the origin must lie on the locus")
     rows = _jacobian_rows(S.polynomials, dim)
     codim = len(rows)
-    rank = rank_over_field(rows)
+    tangent = kernel_basis(rows, dim, _CYC_ONE, _CYC_ZERO)
+    tdim = len(tangent)
+    rank = dim - tdim
     record["jacobian_rank"] = rank
     record["codimension"] = codim
     if rank < codim:
@@ -470,8 +472,6 @@ def linearity_check(S, action, target, samples=8, seed=0):
             % (rank, codim)
         )
         return record
-    tangent = kernel_basis(rows, dim, _CYC_ONE, _CYC_ZERO)
-    tdim = len(tangent)
     record["tangent_dim"] = tdim
     record["tangent_basis"] = [[cyc_to_json(c) for c in vec] for vec in tangent]
     # eigenspace split: members of ker J supported on a single weight block

@@ -6,10 +6,18 @@ orders are reconciled by lifting both operands into Q(zeta_lcm) along
 x -> x**(lcm/m), so values of different declared orders compare and
 combine exactly.  Everything is Fraction arithmetic; there is no floating
 point and no root-of-unity approximation anywhere.
+
+`modular_root` and `CycNumber.mod_image` give the reduction of Z[zeta_m]
+at a prime ell = 1 (mod m): zeta_m goes to a primitive m-th root of unity
+in F_ell, a ring homomorphism on the elements whose denominators are
+prime to ell.  Callers use it for cheap rank bounds, never for answers
+that the reduction alone cannot prove.
 """
 
 import math
 from fractions import Fraction
+
+from .padic import _prime_factors
 
 
 def euler_phi(m):
@@ -85,6 +93,63 @@ def _mod_cyclotomic(coeffs, m):
     return tuple(a)
 
 
+# deterministic Miller-Rabin: these bases decide primality below the limit
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+_MODULAR_FLOOR = 2 ** 31
+_ROOT_CACHE = {}
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def modular_root(m):
+    """(ell, omega) with ell the first prime = 1 (mod m) above 2**31 and
+    omega a primitive m-th root of unity mod ell, or None when that
+    prime lies beyond the range where the primality test is a proof.
+
+    omega is x**((ell - 1)/m) for the first x >= 2 whose power has no
+    smaller order, which needs only m factored, never ell - 1.
+    """
+    if m in _ROOT_CACHE:
+        return _ROOT_CACHE[m]
+    ell = (_MODULAR_FLOOR // m + 1) * m + 1
+    while ell < _MR_LIMIT and not _is_prime(ell):
+        ell += m
+    out = None
+    if ell < _MR_LIMIT:
+        cofactors = [m // q for q in set(_prime_factors(m))]
+        x = 2
+        while True:
+            omega = pow(x, (ell - 1) // m, ell)
+            if all(pow(omega, c, ell) != 1 for c in cofactors):
+                break
+            x += 1
+        out = (ell, omega)
+    _ROOT_CACHE[m] = out
+    return out
+
+
 class CycNumber:
     """Element of Q(zeta_order) with exact rational coordinates."""
 
@@ -131,6 +196,20 @@ class CycNumber:
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
+
+    def mod_image(self, ell, root):
+        """Image in F_ell under zeta_order -> root, or None when ell divides
+        a coordinate denominator; root must be a primitive order-th root
+        of unity mod ell."""
+        out = 0
+        w = 1
+        for a in self.coeffs:
+            if a:
+                if a.denominator % ell == 0:
+                    return None
+                out += a.numerator * w * pow(a.denominator, -1, ell)
+            w = w * root % ell
+        return out % ell
 
     def is_rational(self):
         # the power basis starts at 1, so Q is exactly the first coordinate

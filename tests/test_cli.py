@@ -266,6 +266,47 @@ def test_cohomology_scan_and_fitting_commands(monkeypatch, capsys):
     assert code == 0 and out["count"] == 2
 
 
+@pytest.mark.parametrize(
+    "cmd, doc",
+    [
+        ("jumping-scan", {"i": 1, "j": 2, "order_bound": 1000}),
+        ("shape-check", {"i": 1, "j": 2, "order_bound": 1000}),
+    ],
+)
+def test_oversized_scan_grid_is_refused(cmd, doc, monkeypatch, capsys):
+    # 1000**4 characters of the genus-2 surface
+    doc = dict(doc, complex={"builtin": "surface", "genus": 2})
+    code, out, _ = run_cli([cmd], doc, monkeypatch, capsys)
+    assert code == 1 and out == {"refusal": "scan grid too large"}
+
+
+TORUS = {"builtin": "torus"}
+LINE = {"lattice_basis": [[1, 0]], "translate": ["0"], "dim": 1}
+EMPTY_SYSTEM = {"dim": 1, "equations": []}
+
+
+@pytest.mark.parametrize(
+    "cmd, doc, field",
+    [
+        ("jumping-scan", {"complex": TORUS, "i": 1, "j": 0, "order_bound": 0}, "order_bound"),
+        ("shape-check", {"complex": TORUS, "i": 1, "j": 0, "order_bound": -2}, "order_bound"),
+        (
+            "verify",
+            {"kind": "solve", "system": EMPTY_SYSTEM, "components": [], "order_bound": -1},
+            "order_bound",
+        ),
+        ("enumerate-torsion", {"coset": LINE, "order": 0}, "order"),
+        ("teichmuller", {"p": 5, "xi": 2, "prec": 0}, "prec"),
+        ("exp", {"p": 5, "x": 5, "precision": 0}, "precision"),
+        ("log", {"p": 5, "x": 6, "precision": -1}, "precision"),
+    ],
+)
+def test_out_of_range_numbers_exit_two(cmd, doc, field, monkeypatch, capsys):
+    code, out, err = run_cli([cmd], doc, monkeypatch, capsys)
+    assert code == 2 and out is None
+    assert "'%s' must be >= 1" % field in err
+
+
 def test_output_flag_writes_the_file(tmp_path, monkeypatch, capsys):
     target = tmp_path / "out.json"
     doc = {"series": series_doc(5, [125, 5, 0, 1])}

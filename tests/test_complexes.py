@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,12 +11,13 @@ from padicloci.complexes import (
     scan_torsion,
     shape_check,
     specialize,
+    specialize_exact,
     surface_complex,
     torus_complex,
     wedge_complex,
 )
 from padicloci.cosets import TorsionCoset, enumerate_torsion
-from padicloci.cyclotomic import CycNumber
+from padicloci.cyclotomic import CycNumber, modular_root
 from padicloci.laurent import LaurentPoly
 
 F = Fraction
@@ -67,6 +69,66 @@ def test_euler_characteristic_is_constant_across_characters():
             h = specialize(cplx, char)
             signed = sum((-1) ** i * x for i, x in enumerate(h))
             assert signed == chi
+
+
+# -- modular fast path against the exact oracle --------------------------------
+
+
+@pytest.mark.parametrize(
+    "cplx, m",
+    [
+        (circle_complex(), 30),
+        (torus_complex(), 12),
+        (wedge_complex(2), 8),
+        (wedge_complex(3), 4),
+        (surface_complex(2), 3),
+    ],
+)
+def test_fast_path_equals_the_exact_oracle_on_every_character(cplx, m):
+    for tup in product(range(m), repeat=cplx.nvars):
+        char = tuple(F(a, m) for a in tup)
+        assert specialize(cplx, char) == specialize_exact(cplx, char), char
+
+
+def test_rank_lost_mod_ell_falls_back_to_the_exact_path():
+    # the entry ell vanishes mod ell, so the modular rank 0 is below the
+    # upper bound 1 and only the exact elimination can decide
+    ell = modular_root(3)[0]
+    cplx = TwistedComplex(1, (1, 1), [[[LaurentPoly.constant(1, ell)]]])
+    assert specialize(cplx, (F(1, 3),)) == (0, 0)
+
+
+def test_denominator_divisible_by_ell_forces_the_exact_path():
+    ell = modular_root(3)[0]
+    assert CycNumber.from_rational(F(1, ell)).mod_image(ell, 1) is None
+    cplx = TwistedComplex(1, (1, 1), [[[LaurentPoly.constant(1, F(1, ell))]]])
+    assert specialize(cplx, (F(1, 3),)) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        # t - zeta_3, with -zeta_3 written as zeta_6^5
+        [{"coeff": "1", "exp": [1]}, {"coeff": {"root": "5/6"}, "exp": [0]}],
+        # zeta_3 - t, the same differential up to sign
+        [{"coeff": {"root": "1/3"}, "exp": [0]}, {"coeff": "-1", "exp": [1]}],
+    ],
+)
+def test_root_of_unity_coefficient_jumps_only_at_its_root(cell):
+    cplx = TwistedComplex.from_json({"vars": 1, "dims": [1, 1], "matrices": [[[cell]]]})
+    for a in range(6):
+        expect = (1, 1) if a == 2 else (0, 0)
+        assert specialize(cplx, (F(a, 6),)) == expect
+        assert specialize_exact(cplx, (F(a, 6),)) == expect
+
+
+def test_modular_root_is_a_primitive_root_at_a_prime_one_mod_m():
+    for m in range(1, 25):
+        ell, omega = modular_root(m)
+        assert ell > 2 ** 31 and (ell - 1) % m == 0
+        assert all(ell % d for d in range(2, 50000))
+        assert pow(omega, m, ell) == 1
+        assert all(pow(omega, k, ell) != 1 for k in range(1, m))
 
 
 # -- torsion scans ------------------------------------------------------------
@@ -125,8 +187,6 @@ def test_fitting_generators_vanish_exactly_on_the_jump_set():
     gens = fitting_locus(tor, 1, 0)
     scan = scan_torsion(tor, 1, 0, 12)
     hits = set(scan.hits)
-    from itertools import product
-
     for char in product([F(a, 12) for a in range(12)], repeat=2):
         point = tuple(CycNumber.root_of_unity(c) for c in char)
         vanish = all(g.evaluate(point).is_zero() for g in gens)
