@@ -1,10 +1,12 @@
 """Batch command line front end.
 
-Every subcommand reads one JSON document (from --input or stdin),
-writes one canonical JSON report (sorted keys, reduced fractions, no
-whitespace) to --output or stdout, and says nothing else on the output
-stream.  Exit code 0 is success, 1 is a property violation or an
-explicit refusal, 2 is malformed input.  Diagnostics go to stderr.
+One flat parser takes the command name and the flags --input, --output,
+--precision, --order-bound and --jobs.  Every command reads one JSON
+document (from --input or stdin), writes one canonical JSON report
+(sorted keys, reduced fractions, no whitespace) to --output or stdout,
+and says nothing else on the output stream.  Exit code 0 is success, 1
+is a property violation or an explicit refusal, 2 is malformed input.
+Diagnostics go to stderr.
 
 Flags can also be set through environment variables with the
 PADICLOCI_ prefix (PADICLOCI_PRECISION and so on); explicit flags win.
@@ -16,9 +18,11 @@ deterministic facade.
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 
 from .complexes import (
     SIZE_LIMIT_MESSAGE,
@@ -41,6 +45,7 @@ from .cosets import (
     solve_binomial,
     torsion_certificate_pipeline,
 )
+from .laurent import laurent_from_json
 from .padic import (
     PadicScalar,
     ResidueElement,
@@ -59,7 +64,7 @@ _VERIFY_GRID_CAP = 200000
 
 
 class SchemaError(Exception):
-    """Input document fails the subcommand schema."""
+    """Input document fails the command schema."""
 
 
 def _need(doc, key, kinds=None):
@@ -103,6 +108,29 @@ def _fraction(x, what):
         raise SchemaError("%s is not a fraction" % what)
 
 
+def _int_matrix(doc, key):
+    rows = _need(doc, key, list)
+    for r in rows:
+        if not isinstance(r, list) or any(isinstance(c, bool) or not isinstance(c, int) for c in r):
+            raise SchemaError("field '%s' must be a list of integer rows" % key)
+    return rows
+
+
+def _decode(what, fn, *args):
+    """fn(*args), with the decoders' KeyError/TypeError/ValueError as a
+    schema error."""
+    try:
+        return fn(*args)
+    except (KeyError, TypeError, ValueError) as e:
+        raise SchemaError("bad %s: %s" % (what, e))
+
+
+def _grid_order(doc, args, nvars):
+    """The scan order bound, or None when its character grid is over the cap."""
+    order = _positive_field(doc, "order_bound", args.order_bound or 6)
+    return None if order ** nvars > _VERIFY_GRID_CAP else order
+
+
 def _precision(doc, args, default):
     if args.precision is not None:
         return args.precision
@@ -126,23 +154,22 @@ def _scalar_in(val, p, prec):
     raise SchemaError("scalar must be a number, string, or document")
 
 
+def _builtin_complex(c):
+    name = c["builtin"]
+    if name == "circle":
+        return circle_complex()
+    if name == "torus":
+        return torus_complex()
+    if name == "wedge":
+        return wedge_complex(_int_field(c, "n"))
+    if name == "surface":
+        return surface_complex(_int_field(c, "genus"))
+    raise SchemaError("unknown builtin complex '%s'" % name)
+
+
 def _complex_in(doc):
     c = _need(doc, "complex", dict)
-    try:
-        if "builtin" in c:
-            name = c["builtin"]
-            if name == "circle":
-                return circle_complex()
-            if name == "torus":
-                return torus_complex()
-            if name == "wedge":
-                return wedge_complex(_int_field(c, "n"))
-            if name == "surface":
-                return surface_complex(_int_field(c, "genus"))
-            raise SchemaError("unknown builtin complex '%s'" % name)
-        return TwistedComplex.from_json(c)
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError("bad complex: %s" % e)
+    return _decode("complex", _builtin_complex if "builtin" in c else TwistedComplex.from_json, c)
 
 
 def _character_in(doc, key, nvars):
@@ -153,7 +180,7 @@ def _character_in(doc, key, nvars):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands
 # ---------------------------------------------------------------------------
 
 
@@ -191,10 +218,7 @@ def _cmd_log(doc, args):
 
 
 def _series_in(doc, key="series"):
-    try:
-        return AnalyticSeries.from_json(_need(doc, key, dict))
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError("bad series: %s" % e)
+    return _decode("series", AnalyticSeries.from_json, _need(doc, key, dict))
 
 
 def _cmd_strassmann(doc, args):
@@ -207,23 +231,23 @@ def _cmd_newton(doc, args):
     return 0, newton_polygon(g).to_json()
 
 
+def _conic_in(doc):
+    """(locus, action, point) of a conic certificate request."""
+    locus = _decode("locus or action", AnalyticLocus.from_json, _need(doc, "locus", dict))
+    action = _decode("locus or action", WeightedAction.from_json, _need(doc, "action", dict))
+    point = tuple(_scalar_in(v, action.p, 24) for v in _need(doc, "point", list))
+    return locus, action, point
+
+
 def _cmd_conic_check(doc, args):
-    try:
-        locus = AnalyticLocus.from_json(_need(doc, "locus", dict))
-        action = WeightedAction.from_json(_need(doc, "action", dict))
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError("bad locus or action: %s" % e)
-    point = [_scalar_in(v, action.p, 24) for v in _need(doc, "point", list)]
+    locus, action, point = _conic_in(doc)
     bound = _int_field(doc, "bound_k", args.order_bound or 8)
-    res = conic_certificate(locus, action, tuple(point), bound)
+    res = conic_certificate(locus, action, point, bound)
     return (0 if res.get("ok") else 1), res
 
 
 def _system_in(doc, key="system"):
-    try:
-        return BinomialSystem.from_json(_need(doc, key, dict))
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError("bad binomial system: %s" % e)
+    return _decode("binomial system", BinomialSystem.from_json, _need(doc, key, dict))
 
 
 def _cmd_solve_binomial(doc, args):
@@ -233,10 +257,7 @@ def _cmd_solve_binomial(doc, args):
 
 
 def _cmd_enumerate_torsion(doc, args):
-    try:
-        coset = TorsionCoset.from_json(_need(doc, "coset", dict))
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError("bad coset: %s" % e)
+    coset = _decode("coset", TorsionCoset.from_json, _need(doc, "coset", dict))
     order = _positive_field(doc, "order", args.order_bound)
     pts = enumerate_torsion(coset, order)
     return 0, {"count": len(pts), "points": [[str(q) for q in t] for t in pts]}
@@ -244,11 +265,8 @@ def _cmd_enumerate_torsion(doc, args):
 
 def _cmd_find_torsion(doc, args):
     system = _system_in(doc)
-    try:
-        action = WeightedAction.from_json(_need(doc, "action", dict))
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError("bad action: %s" % e)
-    auto = _need(doc, "automorphism", list)
+    action = _decode("action", WeightedAction.from_json, _need(doc, "action", dict))
+    auto = _int_matrix(doc, "automorphism")
     prec = _precision(doc, args, 24)
     certs = torsion_certificate_pipeline(system, action, auto, prec)
     code = 0 if all(c["status"] == "ok" for c in certs) else 1
@@ -265,8 +283,8 @@ def _cmd_jumping_scan(doc, args):
     cplx = _complex_in(doc)
     i = _int_field(doc, "i")
     j = _int_field(doc, "j")
-    order = _positive_field(doc, "order_bound", args.order_bound or 6)
-    if order ** cplx.nvars > _VERIFY_GRID_CAP:
+    order = _grid_order(doc, args, cplx.nvars)
+    if order is None:
         return 1, {"refusal": "scan grid too large"}
     return 0, scan_torsion(cplx, i, j, order).to_json()
 
@@ -282,14 +300,12 @@ def _cmd_fitting(doc, args):
 
 
 def _cmd_shape_check(doc, args):
-    from .laurent import laurent_from_json
-
     if "generators" in doc:
         nvars = _int_field(doc, "vars")
-        try:
-            gens = [laurent_from_json(nvars, g) for g in _need(doc, "generators", list)]
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError("bad generators: %s" % e)
+        gens = [
+            _decode("generators", laurent_from_json, nvars, g)
+            for g in _need(doc, "generators", list)
+        ]
         verdict = shape_check(gens, nvars=nvars)
     else:
         cplx = _complex_in(doc)
@@ -297,8 +313,8 @@ def _cmd_shape_check(doc, args):
         j = _int_field(doc, "j")
         order = None
         if "order_bound" in doc or args.order_bound:
-            order = _positive_field(doc, "order_bound", args.order_bound or 6)
-            if order ** cplx.nvars > _VERIFY_GRID_CAP:
+            order = _grid_order(doc, args, cplx.nvars)
+            if order is None:
                 return 1, {"refusal": "scan grid too large"}
         gens = fitting_locus(cplx, i, j)
         if gens == SIZE_LIMIT_MESSAGE:
@@ -316,44 +332,33 @@ def _cmd_shape_check(doc, args):
 
 def _verify_solve(doc, args):
     system = _system_in(doc)
-    comps = [TorsionCoset.from_json(c) for c in _need(doc, "components", list)]
-    order = _positive_field(doc, "order_bound", args.order_bound or 6)
-    total = order ** system.dim
-    if total > _VERIFY_GRID_CAP:
+    comps = [
+        _decode("component", TorsionCoset.from_json, c) for c in _need(doc, "components", list)
+    ]
+    order = _grid_order(doc, args, system.dim)
+    if order is None:
         return 1, {"refusal": "verification grid too large"}
-    from itertools import product as iproduct
-
-    grid = iproduct([Fraction(a, order) for a in range(order)], repeat=system.dim)
-    checked = 0
-    for t in grid:
-        checked += 1
+    for t in product([Fraction(a, order) for a in range(order)], repeat=system.dim):
         satisfied = all(
             sum(c * x for c, x in zip(v, t)) % 1 == e for v, e in system.equations
         )
         holders = sum(1 for c in comps if c.contains(t))
         if satisfied and holders != 1:
-            return 1, {
-                "verified": False,
-                "point": [str(q) for q in t],
-                "reason": "solution covered %d times" % holders,
-            }
-        if not satisfied and holders:
-            return 1, {
-                "verified": False,
-                "point": [str(q) for q in t],
-                "reason": "non-solution claimed by a component",
-            }
-    return 0, {"verified": True, "points_checked": checked}
+            reason = "solution covered %d times" % holders
+        elif holders and not satisfied:
+            reason = "non-solution claimed by a component"
+        else:
+            continue
+        return 1, {"verified": False, "point": [str(q) for q in t], "reason": reason}
+    return 0, {"verified": True, "points_checked": order ** system.dim}
 
 
 def _verify_certificates(doc, args):
-    import math
-
     system = _system_in(doc)
-    auto = _need(doc, "automorphism", list)
+    auto = _int_matrix(doc, "automorphism")
     certs = _need(doc, "certificates", list)
     for k, cert in enumerate(certs):
-        comp = TorsionCoset.from_json(_need(cert, "component", dict))
+        comp = _decode("component", TorsionCoset.from_json, _need(cert, "component", dict))
         point = tuple(_fraction(s, "torsion point") for s in _need(cert, "torsion_point", list))
         if not comp.contains(point):
             return 1, {"verified": False, "index": k, "reason": "point off its component"}
@@ -369,23 +374,18 @@ def _verify_certificates(doc, args):
             p = _int_field(cert, "p")
             if math.gcd(order, p) != 1:
                 return 1, {"verified": False, "index": k, "reason": "order shares a factor with p"}
-            shifted = TorsionCoset.from_json(
-                _need(_need(cert, "translation", dict), "coset_through_identity", dict)
-            )
+            through = _need(_need(cert, "translation", dict), "coset_through_identity", dict)
+            shifted = _decode("component", TorsionCoset.from_json, through)
             if shifted.basis != comp.basis or any(shifted.translate):
                 return 1, {"verified": False, "index": k, "reason": "translation witness broken"}
-            if not cert.get("conic", {}).get("ok"):
+            conic = cert.get("conic")
+            if not (isinstance(conic, dict) and conic.get("ok")):
                 return 1, {"verified": False, "index": k, "reason": "conic certificate missing"}
     return 0, {"verified": True, "certificates_checked": len(certs)}
 
 
 def _verify_conic(doc, args):
-    try:
-        locus = AnalyticLocus.from_json(_need(doc, "locus", dict))
-        action = WeightedAction.from_json(_need(doc, "action", dict))
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError("bad locus or action: %s" % e)
-    point = tuple(_scalar_in(v, action.p, 24) for v in _need(doc, "point", list))
+    locus, action, point = _conic_in(doc)
     cert = _need(doc, "certificate", dict)
     if not cert.get("ok"):
         return 1, {"verified": False, "reason": "certificate is a refusal"}
@@ -524,32 +524,28 @@ def _env_default(name):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", default=_env_default("INPUT"), metavar="FILE")
-    common.add_argument("--output", default=_env_default("OUTPUT"), metavar="FILE")
-    common.add_argument("--precision", default=_env_default("PRECISION"), metavar="N")
-    common.add_argument(
-        "--order-bound", dest="order_bound", default=_env_default("ORDER_BOUND"), metavar="M"
-    )
-    common.add_argument("--seed", default=_env_default("SEED") or "0", metavar="S")
-    common.add_argument("--jobs", default=_env_default("JOBS") or "1", metavar="K")
+    # built per call: the defaults read the environment as it is now
     parser = argparse.ArgumentParser(prog="padicloci")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    for name in sorted(_DISPATCH):
-        sub.add_parser(name, parents=[common])
+    parser.add_argument("cmd", choices=sorted(_DISPATCH))
+    parser.add_argument("--input", default=_env_default("INPUT"), metavar="FILE")
+    parser.add_argument("--output", default=_env_default("OUTPUT"), metavar="FILE")
+    parser.add_argument("--precision", default=_env_default("PRECISION"), metavar="N")
+    parser.add_argument("--order-bound", default=_env_default("ORDER_BOUND"), metavar="M")
+    parser.add_argument("--jobs", default=_env_default("JOBS") or "1", metavar="K")
     return parser
 
 
-def _coerce_int(args, attr, minimum=None):
+def _coerce_int(args, attr):
     val = getattr(args, attr)
     if val is None:
         return
+    flag = "--" + attr.replace("_", "-")
     try:
         val = int(val)
     except (TypeError, ValueError):
-        raise SchemaError("flag --%s must be an integer" % attr.replace("_", "-"))
-    if minimum is not None and val < minimum:
-        raise SchemaError("flag --%s must be >= %d" % (attr.replace("_", "-"), minimum))
+        raise SchemaError("flag %s must be an integer" % flag)
+    if val < 1:
+        raise SchemaError("flag %s must be >= 1" % flag)
     setattr(args, attr, val)
 
 
@@ -572,11 +568,10 @@ def _emit(out, args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        for attr, lo in (("precision", 1), ("order_bound", 1), ("seed", None), ("jobs", 1)):
-            _coerce_int(args, attr, lo)
+        for attr in ("precision", "order_bound", "jobs"):
+            _coerce_int(args, attr)
     except SchemaError as e:
         print("padicloci: %s" % e, file=sys.stderr)
         return 2

@@ -86,7 +86,7 @@ class TwistedComplex:
             "vars": self.nvars,
             "dims": list(self.dims),
             "matrices": [
-                [[_term_to_json(row) for row in r] for r in m] for m in self.mats
+                [[q.to_json() for q in row] for row in m] for m in self.mats
             ],
         }
 
@@ -94,7 +94,7 @@ class TwistedComplex:
     def from_json(cls, doc):
         nvars = int(doc["vars"])
         mats = [
-            [[_term_from_json(nvars, cell) for cell in row] for row in m]
+            [[laurent_from_json(nvars, cell) for cell in row] for row in m]
             for m in doc["matrices"]
         ]
         dims = doc.get("dims")
@@ -103,34 +103,6 @@ class TwistedComplex:
                 raise ValueError("dims required when no matrices are given")
             dims = [len(mats[0][0])] + [len(m) for m in mats]
         return cls(nvars, dims, mats)
-
-
-def _term_from_json(nvars, cell):
-    terms = {}
-    for item in cell:
-        coeff = item["coeff"]
-        if isinstance(coeff, dict):
-            c = CycNumber.root_of_unity(Fraction(coeff["root"]))
-        else:
-            c = CycNumber.from_rational(Fraction(coeff))
-        exp = tuple(int(x) for x in item["exp"])
-        got = terms.get(exp)
-        terms[exp] = c if got is None else got + c
-    return LaurentPoly(nvars, terms)
-
-
-def _term_to_json(q):
-    out = []
-    for exp, c in q.sorted_terms():
-        if c.is_rational():
-            doc = {"coeff": str(c.rational_value()), "exp": list(exp)}
-        else:
-            e = c.root_of_unity_exponent()
-            if e is None:
-                raise ValueError("coefficient is not rational or a root of unity")
-            doc = {"coeff": {"root": str(e)}, "exp": list(exp)}
-        out.append(doc)
-    return out
 
 
 # ---------------------------------------------------------------------------

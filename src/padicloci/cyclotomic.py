@@ -179,13 +179,9 @@ class CycNumber:
         if big == self.order:
             return self
         k = big // self.order
-        step = [Fraction(0)] * k + [Fraction(1)]
-        acc = [Fraction(1)]
-        out = [Fraction(0)]
-        for a in self.coeffs:
-            if a:
-                out = _poly_add(out, [c * a for c in acc])
-            acc = _poly_mul(acc, step)
+        out = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
+        for i, a in enumerate(self.coeffs):
+            out[i * k] = a
         return CycNumber(big, out)
 
     def _common(self, other):
@@ -311,10 +307,9 @@ class CycNumber:
         """Galois twist zeta -> zeta**k; k must be prime to the order."""
         if math.gcd(k, self.order) != 1:
             raise ValueError("conjugation exponent must be prime to the order")
-        out = [Fraction(0)]
+        out = [Fraction(0)] * self.order
         for i, a in enumerate(self.coeffs):
-            if a:
-                out = _poly_add(out, [Fraction(0)] * (i * k % self.order) + [a])
+            out[i * k % self.order] = a
         return CycNumber(self.order, out)
 
     def root_of_unity_exponent(self):
@@ -344,13 +339,6 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x + y for x, y in zip(a, b)]
-
-
 def _poly_sub(a, b):
     n = max(len(a), len(b))
     a = list(a) + [Fraction(0)] * (n - len(a))
@@ -369,7 +357,7 @@ def cyc_to_json(c):
 
 
 def cyc_from_json(doc):
-    if isinstance(doc, str):
+    if not isinstance(doc, dict):
         return CycNumber.from_rational(Fraction(doc))
     if "root" in doc:
         return CycNumber.root_of_unity(Fraction(doc["root"]))

@@ -1,11 +1,13 @@
+import argparse
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from padicloci.cli import main
+from padicloci.cli import _build_parser, main
 from padicloci.padic import PadicScalar
 
 
@@ -342,3 +344,76 @@ def test_demo_reads_no_input(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out)["strassmann"] == {"count": 3}
+
+
+SQUARE_SYSTEM = {"dim": 2, "equations": [{"exponents": [2, 0], "rhs": "0"}]}
+IDENTITY = [[1, 0], [0, 1]]
+ACTION = {"p": 5, "weights": [1, 2], "alpha": PadicScalar.from_int(5, 6, 24).to_json()}
+
+
+def certificates_doc(monkeypatch, capsys, **changes):
+    """A verify kind=certificates document for x_1^2 = 1, with its first
+    ok certificate changed by `changes`."""
+    doc = {"system": SQUARE_SYSTEM, "action": ACTION, "automorphism": IDENTITY, "precision": 16}
+    code, out, _ = run_cli(["find-torsion"], doc, monkeypatch, capsys)
+    assert code == 0
+    ok = next(c for c in out["certificates"] if c["status"] == "ok")
+    ok.update(changes)
+    return {
+        "kind": "certificates",
+        "system": SQUARE_SYSTEM,
+        "automorphism": IDENTITY,
+        "certificates": out["certificates"],
+    }
+
+
+@pytest.mark.parametrize(
+    "cmd, build",
+    [
+        (
+            "verify",
+            lambda mp, cs: {"kind": "solve", "system": SQUARE_SYSTEM, "components": [{"foo": 1}]},
+        ),
+        ("verify", lambda mp, cs: {"kind": "solve", "system": SQUARE_SYSTEM, "components": [5]}),
+        ("verify", lambda mp, cs: certificates_doc(mp, cs, component={"x": 1})),
+        (
+            "find-torsion",
+            lambda mp, cs: {
+                "system": SQUARE_SYSTEM,
+                "action": ACTION,
+                "automorphism": [[None]],
+                "precision": 16,
+            },
+        ),
+        ("verify", lambda mp, cs: certificates_doc(mp, cs, conic=[1])),
+    ],
+    ids=["solve-key", "solve-type", "certificate-component", "automorphism-null", "conic-list"],
+)
+def test_malformed_verify_and_find_torsion_inputs_end_in_an_exit_code(
+    cmd, build, monkeypatch, capsys
+):
+    doc = build(monkeypatch, capsys)
+    code, out, _ = run_cli([cmd], doc, monkeypatch, capsys)
+    assert code in (1, 2)
+    if code == 2:
+        assert out is None
+
+
+def test_plain_number_laurent_coefficient(monkeypatch, capsys):
+    # a 1x1 complex with the single entry t, given as {"coeff": 1}
+    cplx = {"vars": 1, "matrices": [[[[{"coeff": 1, "exp": [1]}]]]]}
+    code, out, _ = run_cli(
+        ["cohomology"], {"complex": cplx, "character": ["1/2"]}, monkeypatch, capsys
+    )
+    assert code == 0 and out == {"h": [0, 0]}
+
+
+def test_readme_flag_table_names_exactly_the_parser_flags():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    documented = {line.split()[0] for line in block.splitlines() if line.startswith("--")}
+    parser = _build_parser()
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+    assert documented == flags - {"--help"}
