@@ -49,6 +49,7 @@ from .laurent import laurent_from_json
 from .padic import (
     PadicScalar,
     ResidueElement,
+    _json_int,
     check_prime,
     scalar_from_json,
     padic_exp,
@@ -79,10 +80,7 @@ def _need(doc, key, kinds=None):
 def _int_field(doc, key, default=None):
     if default is not None and key not in doc:
         return default
-    val = _need(doc, key)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise SchemaError("field '%s' must be an integer" % key)
-    return val
+    return _decode("field '%s'" % key, _json_int, _need(doc, key))
 
 
 def _positive_field(doc, key, default=None):
@@ -125,10 +123,18 @@ def _decode(what, fn, *args):
         raise SchemaError("bad %s: %s" % (what, e))
 
 
+def _over_cap(order, dim):
+    """Whether the order**dim grid is over the cap, without raising a huge
+    order to a huge power (2**18 is already over it)."""
+    return order > 1 and (
+        dim >= _VERIFY_GRID_CAP.bit_length() or order ** dim > _VERIFY_GRID_CAP
+    )
+
+
 def _grid_order(doc, args, nvars):
     """The scan order bound, or None when its character grid is over the cap."""
     order = _positive_field(doc, "order_bound", args.order_bound or 6)
-    return None if order ** nvars > _VERIFY_GRID_CAP else order
+    return None if _over_cap(order, nvars) else order
 
 
 def _precision(doc, args, default):
@@ -147,7 +153,7 @@ def _scalar_in(val, p, prec):
     if isinstance(val, str):
         return PadicScalar.from_fraction(p, _fraction(val, "scalar"), prec)
     if isinstance(val, dict):
-        x = scalar_from_json(val)
+        x = _decode("scalar", scalar_from_json, val)
         if x.p != p:
             raise SchemaError("scalar document is at a different prime")
         return x
@@ -190,12 +196,8 @@ def _cmd_teichmuller(doc, args):
     if prec is None:
         prec = _positive_field(doc, "prec")
     xi = _need(doc, "xi")
-    if isinstance(xi, list):
-        res = ResidueElement(p, len(xi), tuple(int(c) for c in xi))
-    elif isinstance(xi, int) and not isinstance(xi, bool):
-        res = ResidueElement.from_int(p, xi)
-    else:
-        raise SchemaError("field 'xi' must be an integer or coefficient list")
+    coeffs = xi if isinstance(xi, list) else [xi]
+    res = ResidueElement(p, len(coeffs), [_decode("xi", _json_int, c) for c in coeffs])
     w = teichmuller(res, prec)
     out = {"p": p, "f": res.f, "value": w.to_json()}
     if res.f == 1:
@@ -259,6 +261,8 @@ def _cmd_solve_binomial(doc, args):
 def _cmd_enumerate_torsion(doc, args):
     coset = _decode("coset", TorsionCoset.from_json, _need(doc, "coset", dict))
     order = _positive_field(doc, "order", args.order_bound)
+    if _over_cap(order, coset.dim):
+        return 1, {"refusal": "torsion grid too large"}
     pts = enumerate_torsion(coset, order)
     return 0, {"count": len(pts), "points": [[str(q) for q in t] for t in pts]}
 

@@ -454,13 +454,9 @@ def linearity_check(S, action, target, samples=8, seed=0):
         record["reason"] = "smoothness is decided only for exact polynomial data"
         return record
     dim = S.disc.dim
-    zero_exp = (0,) * dim
-    for q in S.polynomials:
-        if zero_exp in q.terms:
-            raise DomainError("the origin must lie on the locus")
+    tangent = tangent_space_at_zero(S)
     rows = _jacobian_rows(S.polynomials, dim)
     codim = len(rows)
-    tangent = kernel_basis(rows, dim, _CYC_ONE, _CYC_ZERO)
     tdim = len(tangent)
     rank = dim - tdim
     record["jacobian_rank"] = rank
@@ -485,31 +481,28 @@ def linearity_check(S, action, target, samples=8, seed=0):
             "the tangent space does not split along the weight grading"
         )
     # stability: symbolic for weighted-homogeneous data, else sampled
-    rng = random.Random(seed)
-    sample_points = None
+    sample_points = _sample_points(S, samples, random.Random(seed))
     if all(weighted_degree(q, action.weights) is not None for q in S.polynomials):
         record["stability"] = "symbolic"
+    elif not sample_points:
+        record["stability"] = "unverified"
+        record["hypothesis_failures"].append(
+            "stability could not be checked: no sample points available"
+        )
     else:
-        sample_points = _sample_points(S, samples, rng)
-        if not sample_points:
-            record["stability"] = "unverified"
-            record["hypothesis_failures"].append(
-                "stability could not be checked: no sample points available"
-            )
-        else:
-            record["stability"] = "sampled"
-            for x in sample_points:
-                moved = action.act(action.alpha, x)
-                for i, f in enumerate(S.equations):
-                    val = f.evaluate(moved)
-                    if val.valuation is not None:
-                        record["verdict"] = "hypotheses not met"
-                        record["reason"] = (
-                            "the locus is not stable under the action at a sampled point"
-                        )
-                        record["unstable_equation"] = i
-                        record["unstable_point"] = [c.to_json() for c in x]
-                        return record
+        record["stability"] = "sampled"
+        for x in sample_points:
+            moved = action.act(action.alpha, x)
+            for i, f in enumerate(S.equations):
+                val = f.evaluate(moved)
+                if val.valuation is not None:
+                    record["verdict"] = "hypotheses not met"
+                    record["reason"] = (
+                        "the locus is not stable under the action at a sampled point"
+                    )
+                    record["unstable_equation"] = i
+                    record["unstable_point"] = [c.to_json() for c in x]
+                    return record
     # the target must contain the origin and the projected samples
     try:
         target_tangent = tangent_space_at_zero(target)
@@ -518,9 +511,7 @@ def linearity_check(S, action, target, samples=8, seed=0):
         record["reason"] = "the target locus misses the origin"
         return record
     record["target_tangent_dim"] = len(target_tangent)
-    if target.equations and sample_points is None:
-        sample_points = _sample_points(S, samples, rng)
-    for x in sample_points or ():
+    for x in sample_points:
         proj = tuple(x[j] for j in cols2)
         for i, f in enumerate(target.equations):
             try:
@@ -563,10 +554,8 @@ def linearity_check(S, action, target, samples=8, seed=0):
         record["conclusion"] = "exact"
         record["verdict"] = "holds"
         return record
-    if sample_points is None:
-        sample_points = _sample_points(S, samples, rng)
-    record["samples_used"] = len(sample_points or ())
-    for x in sample_points or ():
+    record["samples_used"] = len(sample_points)
+    for x in sample_points:
         for i, f in enumerate(S.equations):
             row = [f.terms.get(_unit_exp(dim, j)) for j in range(dim)]
             total = None

@@ -21,14 +21,7 @@ from fractions import Fraction
 from itertools import product
 
 from .conic import AnalyticLocus, conic_certificate
-from .groups import (
-    FgAbGroup,
-    TorsionCharacter,
-    char_exp,
-    char_pow,
-    embed_torsion,
-    offset_coordinates,
-)
+from .groups import FgAbGroup, char_exp, char_pow, offset_coordinates
 from .intlinalg import (
     determinant,
     diagonal_of,
@@ -46,11 +39,15 @@ from .padic import (
     DomainError,
     PadicScalar,
     PrecisionError,
+    _json_int,
     coset_eq,
     embed_root_of_unity,
     exp_domain_bound,
 )
 from .series import PolyDisc
+
+# most components solve_binomial lists
+_COMPONENT_CAP = 200000
 
 
 class BinomialSystem:
@@ -83,8 +80,11 @@ class BinomialSystem:
 
     @classmethod
     def from_json(cls, doc):
-        eqs = [(item["exponents"], Fraction(item["rhs"])) for item in doc["equations"]]
-        return cls(doc["dim"], eqs)
+        eqs = [
+            ([_json_int(c) for c in item["exponents"]], Fraction(item["rhs"]))
+            for item in doc["equations"]
+        ]
+        return cls(_json_int(doc["dim"]), eqs)
 
 
 class TorsionCoset:
@@ -158,9 +158,9 @@ class TorsionCoset:
 
     @classmethod
     def from_json(cls, doc):
-        basis = [list(r) for r in doc["lattice_basis"]]
+        basis = [[_json_int(c) for c in r] for r in doc["lattice_basis"]]
         vals = [Fraction(s) for s in doc["translate"]]
-        return cls(int(doc["dim"]) + len(basis), basis, vals)
+        return cls(_json_int(doc["dim"]) + len(basis), basis, vals)
 
 
 def _coset_key(c):
@@ -175,9 +175,10 @@ def solve_binomial(system):
     s_k pins one new coordinate with s_k possible values, a zero s_k
     with nonzero right side kills the system, and the remaining
     coordinates stay free; an inconsistent system yields the empty
-    list, never an error.  The pinned characters pull back to rows of
-    the inverse column transform, which are saturated because any
-    subset of rows of a unimodular matrix is.
+    list, never an error, and more than _COMPONENT_CAP components raise
+    ValueError.  The pinned characters pull back to rows of the inverse
+    column transform, which are saturated because any subset of rows of
+    a unimodular matrix is.
     """
     d = system.dim
     if not system.equations:
@@ -196,6 +197,9 @@ def solve_binomial(system):
                 return []
         else:
             pinned.append((k, s))
+    count = math.prod(s for _, s in pinned)
+    if count > _COMPONENT_CAP:
+        raise ValueError("%d components are over the cap of %d" % (count, _COMPONENT_CAP))
     basis = [winv[k] for k, _ in pinned]
     out = []
     for choice in product(*(range(s) for _, s in pinned)):
@@ -316,9 +320,9 @@ def _graded_basis(basis, weights):
     return out
 
 
-def _character_value(chi, v):
+def _character_value(values, v):
     out = None
-    for c, x in zip(v, chi.values):
+    for c, x in zip(v, values):
         if c == 0:
             continue
         part = x ** int(c)
@@ -349,7 +353,7 @@ def _unit_row(d, i):
     return tuple(row)
 
 
-def _certify_component(system, comp, action, auto_rows, prec):
+def _certify_component(system, comp, graded, action, auto_rows, prec):
     p = action.p
     d = comp.ambient
     full_order = math.lcm(1, *(v.denominator for v in comp.translate))
@@ -378,16 +382,13 @@ def _certify_component(system, comp, action, auto_rows, prec):
         if m > cap:
             raise AssertionError("torsion orbit failed to close")
 
-    # embed the base point through its Teichmuller lift and re-check
-    # every original equation at working precision
-    group = FgAbGroup(d, ())
-    chi = embed_torsion(TorsionCharacter(group, t, ()), p, prec)
-    omega = embed_root_of_unity(
-        p, Fraction(1, t_order) if t_order > 1 else Fraction(0), prec
-    )
+    # embed the base point through one Teichmuller lift omega of order
+    # t_order and re-check every original equation at working precision
+    omega = embed_root_of_unity(p, Fraction(1, t_order) % 1, prec)
+    values = [omega ** int(t_order * x) for x in t]
     for v, e in system.equations:
         rhs = omega ** (int(e * t_order) % t_order)
-        if not coset_eq(_character_value(chi, v), rhs):
+        if not coset_eq(_character_value(values, v), rhs):
             raise AssertionError("embedded torsion point fails an equation")
 
     # translating by the base point must kill every pin exactly
@@ -408,15 +409,12 @@ def _certify_component(system, comp, action, auto_rows, prec):
     kernel = integer_kernel([list(r) for r in comp.basis], ncols=d)
     direction = [sum(col) for col in zip(*kernel)] if kernel else [0] * d
     tangent = [PadicScalar.from_int(p, (p ** bound) * c, prec) for c in direction]
-    psi = char_exp(group, p, tangent, prec)
+    psi = char_exp(FgAbGroup(d, ()), p, tangent, prec)
     n_contract = _contraction_exponent(psi, bound, prec)
 
     # the translated component in logarithm coordinates is the common
     # kernel of weight-pure linear forms, so the orbit of the sample
     # tangent vector admits a conic certificate
-    graded = _graded_basis(comp.basis, action.weights)
-    if graded is None:
-        raise ValueError("hypothesis violation")
     polys = [
         LaurentPoly(d, {_unit_row(d, i): c for i, c in enumerate(row) if c})
         for row in graded
@@ -435,8 +433,8 @@ def _certify_component(system, comp, action, auto_rows, prec):
         "order": t_order,
         "sigma_power": m,
         "residue_character": {
-            "f": chi.f,
-            "coeffs": [list(r.coeffs) for r in chi.residue_character()],
+            "f": omega.f,
+            "coeffs": [list(w.residue().coeffs) for w in values],
         },
         "translation": {"coset_through_identity": shifted.to_json()},
         "contraction_exponent": n_contract,
@@ -466,12 +464,13 @@ def torsion_certificate_pipeline(system, action, auto, precision):
     if not comps:
         raise DomainError("the system has no solutions; nothing to certify")
     auto_rows = _check_unimodular(auto, system.dim)
-    for c in comps:
-        if not sigma_stable(c, auto_rows):
-            raise ValueError("hypothesis violation")
-        if _graded_basis(c.basis, action.weights) is None:
-            raise ValueError("hypothesis violation")
-    certs = [_certify_component(system, c, action, auto_rows, prec) for c in comps]
+    graded = [_graded_basis(c.basis, action.weights) for c in comps]
+    if None in graded or not all(sigma_stable(c, auto_rows) for c in comps):
+        raise ValueError("hypothesis violation")
+    certs = [
+        _certify_component(system, c, g, action, auto_rows, prec)
+        for c, g in zip(comps, graded)
+    ]
     for cert in certs:
         comp = TorsionCoset.from_json(cert["component"])
         point = tuple(Fraction(s) for s in cert["torsion_point"])

@@ -17,21 +17,13 @@ that the reduction alone cannot prove.
 import math
 from fractions import Fraction
 
-from .padic import _prime_factors
+from .padic import _MR_LIMIT, _is_prime, _prime_factors
 
 
 def euler_phi(m):
     out = m
-    n = m
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out -= out // d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out -= out // n
+    for q in set(_prime_factors(m)):
+        out -= out // q
     return out
 
 
@@ -93,34 +85,8 @@ def _mod_cyclotomic(coeffs, m):
     return tuple(a)
 
 
-# deterministic Miller-Rabin: these bases decide primality below the limit
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
 _MODULAR_FLOOR = 2 ** 31
 _ROOT_CACHE = {}
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def modular_root(m):

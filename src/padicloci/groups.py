@@ -16,7 +16,6 @@ from .intlinalg import diagonal_of, smith_normal_form
 from .padic import (
     DomainError,
     PadicScalar,
-    PrecisionError,
     UnramifiedScalar,
     check_prime,
     coset_eq,
@@ -26,6 +25,7 @@ from .padic import (
     scalar_from_json,
     teichmuller,
 )
+from .series import PolyDisc
 
 
 class FgAbGroup:
@@ -385,32 +385,25 @@ class CharPoint:
 # ---------------------------------------------------------------------------
 
 
+def _check_pro_p(chi):
+    if not chi.has_trivial_residue():
+        raise DomainError("Teichmuller part nontrivial")
+    for x in chi.torsion_values:
+        if not coset_eq(x, UnramifiedScalar.one(chi.p, chi.f, x.M)):
+            raise DomainError("a pro-p character is trivial on prime-to-p torsion")
+
+
 def offset_coordinates(chi, radius_exp):
     """Coordinates chi(gamma_i) - 1 over the free generators.
 
     Realizes a pro-p character as a point of the polydisc of radius
     p**-radius_exp; the torsion coordinates are pinned to 1 and omitted.
     """
-    if not chi.has_trivial_residue():
-        raise DomainError("Teichmuller part nontrivial")
-    for x in chi.torsion_values:
-        if not coset_eq(x, UnramifiedScalar.one(chi.p, chi.f, x.M)):
-            raise DomainError("a pro-p character is trivial on prime-to-p torsion")
-    out = []
-    for i, x in enumerate(chi.free_values):
-        off = x - UnramifiedScalar.one(chi.p, chi.f, x.M)
-        if off.norm_exponent() < radius_exp:
-            if off.valuation is None:
-                raise PrecisionError(
-                    "coordinate %d known only to O(p^%d), disc needs valuation >= %d"
-                    % (i, off.norm_exponent(), radius_exp)
-                )
-            raise DomainError(
-                "coordinate %d has valuation %d, outside radius exponent %d"
-                % (i, off.valuation, radius_exp)
-            )
-        out.append(off)
-    return tuple(out)
+    _check_pro_p(chi)
+    out = tuple(x - UnramifiedScalar.one(chi.p, chi.f, x.M) for x in chi.free_values)
+    if out:
+        PolyDisc(chi.p, len(out), radius_exp).check_contains(out)
+    return out
 
 
 def char_pow(chi, n):
@@ -431,11 +424,7 @@ def char_log(chi):
     log converges and inverts exp; torsion coordinates must be trivial
     and are dropped.
     """
-    if not chi.has_trivial_residue():
-        raise DomainError("Teichmuller part nontrivial")
-    for x in chi.torsion_values:
-        if not coset_eq(x, UnramifiedScalar.one(chi.p, chi.f, x.M)):
-            raise DomainError("a pro-p character is trivial on prime-to-p torsion")
+    _check_pro_p(chi)
     return tuple(padic_log(x) for x in chi.free_values)
 
 

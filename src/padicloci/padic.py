@@ -37,7 +37,33 @@ class DomainError(ValueError):
     """Input lies outside the convergence region of the requested map."""
 
 
+# deterministic Miller-Rabin: these bases decide primality below the limit
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 _PRIMES_SEEN = set()
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_prime(p):
@@ -45,11 +71,10 @@ def check_prime(p):
         return p
     if not isinstance(p, int) or p < 2:
         raise ValueError("p must be a prime >= 2")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError("p must be prime, got %d = %d * %d" % (p, d, p // d))
-        d += 1
+    if p >= _MR_LIMIT:
+        raise ValueError("p must be below %d, where the primality test is a proof" % _MR_LIMIT)
+    if not _is_prime(p):
+        raise ValueError("p must be prime, got %d" % p)
     _PRIMES_SEEN.add(p)
     return p
 
@@ -690,14 +715,22 @@ def _digits(n, p, count):
 def _undigits(ds, p):
     n = 0
     for d in reversed(ds):
-        n = n * p + d
+        n = n * p + _json_int(d)
     return n
 
 
+def _json_int(x):
+    """x itself when it is a JSON integer; bools and every other type
+    are rejected rather than truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError("expected an integer, got %r" % (x,))
+    return x
+
+
 def scalar_from_json(doc):
-    p = doc["p"]
-    f = doc.get("f", 1)
-    n = doc["rel_prec"]
+    p = _json_int(doc["p"])
+    f = _json_int(doc.get("f", 1))
+    n = _json_int(doc["rel_prec"])
     if n < 1:
         # arithmetic may coarsen a zero coset below O(1); a document may not
         raise ValueError("relative precision must be >= 1")
@@ -705,10 +738,11 @@ def scalar_from_json(doc):
         if f == 1:
             return PadicScalar.zero_at(p, n)
         return UnramifiedScalar.zero_at(p, f, n)
+    v = _json_int(doc["v"])
     if f == 1:
-        return PadicScalar(p, doc["v"], _undigits(doc["unit_digits"], p), n)
+        return PadicScalar(p, v, _undigits(doc["unit_digits"], p), n)
     coeffs = tuple(_undigits(ds, p) for ds in doc["unit_digits"])
-    return UnramifiedScalar(p, f, doc["v"], coeffs, n)
+    return UnramifiedScalar(p, f, v, coeffs, n)
 
 
 def coset_eq(x, y):
@@ -767,14 +801,16 @@ def embed_root_of_unity(p, frac, prec):
     c = frac.numerator
     if n % p == 0:
         raise ValueError("order divisible by p has no unramified root of unity")
+    # f is the order of p mod n; the search stops once p**f passes 10**6
     f = 1
     acc = p % n
-    while acc != 1:
+    while acc != 1 and p ** f <= 10 ** 6:
         acc = acc * p % n
         f += 1
     if p ** f > 10 ** 6:
         raise ValueError(
-            "embedding needs residue field of size %d^%d; refusing beyond 10^6" % (p, f)
+            "embedding needs residue field of size at least %d^%d; refusing beyond 10^6"
+            % (p, f)
         )
     g = multiplicative_generator(p, f)
     omega = teichmuller(g, prec)

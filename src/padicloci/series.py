@@ -436,6 +436,10 @@ def check_scaling_unit(alpha, p):
     return diff.valuation
 
 
+# largest orbit a vanishing certificate walks; its points are all held
+_ORBIT_CAP = 200000
+
+
 def vanish_certificate(g, alpha, bound_k):
     """Certificate that a univariate series vanishes identically on its disc.
 
@@ -443,7 +447,8 @@ def vanish_certificate(g, alpha, bound_k):
     combines with the Strassmann count: a series with at most bound_k
     zeros vanishing at bound_k + 1 points is identically zero at the tail
     precision.  Returns a certificate dict or a refusal dict carrying the
-    failing datum; precision gaps raise PrecisionError instead of guessing.
+    failing datum; precision gaps raise PrecisionError instead of guessing,
+    and an orbit of more than _ORBIT_CAP points raises ValueError.
     """
     if g.disc.dim != 1:
         raise ValueError("vanishing certificates are univariate")
@@ -477,45 +482,34 @@ def vanish_certificate(g, alpha, bound_k):
             "count": count,
             "bound": bound_k,
         }
+    if bound_k >= _ORBIT_CAP:
+        raise ValueError("orbit of %d points is over the cap of %d" % (bound_k + 1, _ORBIT_CAP))
     # distinctness of alpha**0 .. alpha**bound_k:
     # alpha**j - alpha**i is a unit multiple of alpha**(j-i) - 1
+    powers = [alpha ** n for n in range(bound_k + 1)]
     for n in range(1, bound_k + 1):
-        diff = alpha ** n - 1
+        diff = powers[n] - 1
         if diff.valuation is None:
             raise PrecisionError(
                 "cannot separate alpha^%d from 1 at precision O(p^%d)"
                 % (n, diff.norm_exponent())
             )
-    if tau is None:
-        # an exact polynomial needs exact vanishing, which finite precision
-        # can demonstrate false but never true; scan every point for a
-        # demonstrably nonzero value before giving up
-        for n in range(bound_k + 1):
-            beta = alpha ** n
-            value = g.evaluate([beta])
-            if value.valuation is not None:
-                return {
-                    "ok": False,
-                    "kind": "refusal",
-                    "reason": "nonzero value on the orbit",
-                    "index": n,
-                    "point": beta.to_json(),
-                    "value": value.to_json(),
-                }
-        raise PrecisionError(
-            "exact vanishing cannot be certified at finite precision; supply a tail bound"
-        )
-    for n in range(bound_k + 1):
-        beta = alpha ** n
+    # an exact polynomial needs exact vanishing, which finite precision
+    # can demonstrate false but never true; every point is still scanned
+    # for a demonstrably nonzero value before giving up
+    for n, beta in enumerate(powers):
         value = g.evaluate([beta])
-        try:
-            is_zero = value.is_zero_to(tau)
-        except PrecisionError:
-            raise PrecisionError(
-                "value at alpha^%d known only to O(p^%d); tail precision %d needed"
-                % (n, value.abs_prec, tau)
-            )
-        if not is_zero:
+        if tau is None:
+            nonzero = value.valuation is not None
+        else:
+            try:
+                nonzero = not value.is_zero_to(tau)
+            except PrecisionError:
+                raise PrecisionError(
+                    "value at alpha^%d known only to O(p^%d); tail precision %d needed"
+                    % (n, value.abs_prec, tau)
+                )
+        if nonzero:
             return {
                 "ok": False,
                 "kind": "refusal",
@@ -524,6 +518,10 @@ def vanish_certificate(g, alpha, bound_k):
                 "point": beta.to_json(),
                 "value": value.to_json(),
             }
+    if tau is None:
+        raise PrecisionError(
+            "exact vanishing cannot be certified at finite precision; supply a tail bound"
+        )
     return {
         "ok": True,
         "kind": "strassmann",

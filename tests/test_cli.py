@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -282,9 +283,84 @@ def test_oversized_scan_grid_is_refused(cmd, doc, monkeypatch, capsys):
     assert code == 1 and out == {"refusal": "scan grid too large"}
 
 
+@pytest.mark.parametrize("dim, order", [(3, 1000), (10 ** 9, 3)])
+def test_oversized_torsion_grid_is_refused(dim, order, monkeypatch, capsys):
+    coset = {"lattice_basis": [], "translate": [], "dim": dim}
+    code, out, _ = run_cli(
+        ["enumerate-torsion"], {"coset": coset, "order": order}, monkeypatch, capsys
+    )
+    assert code == 1 and out == {"refusal": "torsion grid too large"}
+
+
+def test_oversized_component_count_is_refused(monkeypatch, capsys):
+    # x**1000000 = 1 on a rank-2 torus has a million components
+    system = {"dim": 2, "equations": [{"exponents": [1000000, 0], "rhs": "0"}]}
+    code, out, err = run_cli(["solve-binomial"], {"system": system}, monkeypatch, capsys)
+    assert code == 1 and out is None
+    assert "1000000 components are over the cap" in err
+
+
+def test_huge_residue_degree_is_refused_promptly(monkeypatch, capsys):
+    system = {"dim": 1, "equations": [{"exponents": [1], "rhs": "1/1000000000039"}]}
+    action = {"p": 5, "weights": [1], "alpha": PadicScalar.from_int(5, 6, 24).to_json()}
+    doc = {"system": system, "action": action, "automorphism": [[1]]}
+    start = time.perf_counter()
+    code, out, err = run_cli(["find-torsion"], doc, monkeypatch, capsys)
+    assert code == 1 and out is None and "refusing beyond 10^6" in err
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "p, code",
+    [(2 ** 61 - 1, 0), (1000000007 * 998244353, 2), (2 ** 89 - 1, 2)],
+    ids=["mersenne-61", "semiprime", "beyond-the-proof-range"],
+)
+def test_large_primes_are_decided_promptly(p, code, monkeypatch, capsys):
+    got, out, _ = run_cli(["teichmuller"], {"p": p, "xi": 2, "prec": 3}, monkeypatch, capsys)
+    assert got == code
+    if code == 0:
+        assert out["value_digits"] == teich_digits_oracle(p, 2, 3)
+
+
 TORUS = {"builtin": "torus"}
 LINE = {"lattice_basis": [[1, 0]], "translate": ["0"], "dim": 1}
 EMPTY_SYSTEM = {"dim": 1, "equations": []}
+SCALAR = {"p": 5, "v": 1, "unit_digits": [1, 0, 0], "rel_prec": 3}
+
+
+def one_equation(exponents, dim=1):
+    return {"dim": dim, "equations": [{"exponents": exponents, "rhs": "0"}]}
+
+
+@pytest.mark.parametrize(
+    "cmd, doc",
+    [
+        ("exp", {"p": 5, "x": dict(SCALAR, v=1.5)}),
+        ("exp", {"p": 5, "x": dict(SCALAR, unit_digits=[1.5, 0, 0])}),
+        ("exp", {"p": 5, "x": dict(SCALAR, rel_prec=True)}),
+        ("solve-binomial", {"system": one_equation([2.7])}),
+        ("solve-binomial", {"system": one_equation([True])}),
+        ("solve-binomial", {"system": one_equation([2], dim=1.0)}),
+        ("enumerate-torsion", {"coset": dict(LINE, dim=1.9), "order": 2}),
+        ("enumerate-torsion", {"coset": dict(LINE, lattice_basis=[[1.5, 0]]), "order": 2}),
+        ("teichmuller", {"p": 5, "xi": [2.5], "prec": 4}),
+    ],
+    ids=[
+        "scalar-v",
+        "scalar-digits",
+        "scalar-rel-prec",
+        "exponent-float",
+        "exponent-bool",
+        "system-dim",
+        "coset-dim",
+        "coset-basis",
+        "xi-float",
+    ],
+)
+def test_non_integer_numbers_in_documents_exit_two(cmd, doc, monkeypatch, capsys):
+    code, out, err = run_cli([cmd], doc, monkeypatch, capsys)
+    assert code == 2 and out is None
+    assert "expected an integer" in err
 
 
 @pytest.mark.parametrize(

@@ -197,3 +197,5 @@ def test_linearity_hypothesis_failures_and_degenerate_inputs():
     assert rec2["verdict"] == "undetermined"
     with pytest.raises(ValueError):
         linearity_check(locus([x_var(1)]), action(weights=(1, 3)), target_locus([]))
+    with pytest.raises(DomainError, match="the origin does not lie on the locus"):
+        linearity_check(locus([x_var(0) + 1]), action(), target_locus([]))

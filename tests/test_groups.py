@@ -168,6 +168,15 @@ def test_offset_coordinates_require_trivial_residue():
     assert str(info.value) == "Teichmuller part nontrivial"
 
 
+def test_offset_coordinates_check_the_disc_as_polydisc_does():
+    chi = principal_char(6)  # offsets 5 and 0
+    assert offset_coordinates(chi, 1)[0].valuation == 1
+    with pytest.raises(DomainError, match="coordinate 0 has valuation 1, outside radius exponent 2"):
+        offset_coordinates(chi, 2)
+    with pytest.raises(ValueError, match="radius exponent must be >= 0"):
+        offset_coordinates(chi, -1)
+
+
 def test_continuous_character_json_round_trip():
     chi = principal_char(1 + P)
     assert ContinuousCharacter.from_json(chi.to_json()) == chi

@@ -226,6 +226,12 @@ def test_vanish_certificate_refusal_carries_the_witness():
     assert "point" in res and "value" in res
 
 
+def test_vanish_certificate_refuses_an_orbit_over_the_cap():
+    g = poly_series(5, [0, 1], 12)
+    with pytest.raises(ValueError, match="over the cap"):
+        vanish_certificate(g, PadicScalar.from_int(5, 6, 12), 10 ** 9)
+
+
 def test_vanish_certificate_budget_refusal():
     p, prec = 5, 12
     g = poly_series(p, [-1, 0, 1], prec)  # two unit roots
