@@ -45,12 +45,10 @@ from .groups import (
     CharPoint,
     ContinuousCharacter,
     FgAbGroup,
-    TorsionCharacter,
     char_exp,
     char_log,
     char_pow,
     decompose_teichmuller,
-    embed_torsion,
     offset_coordinates,
     smith_decompose,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "PolyDisc",
     "PrecisionError",
     "ResidueElement",
-    "TorsionCharacter",
     "TorsionCoset",
     "TwistedComplex",
     "UnramifiedScalar",
@@ -116,7 +113,6 @@ __all__ = [
     "cyclotomic_poly",
     "decompose_teichmuller",
     "embed_root_of_unity",
-    "embed_torsion",
     "enumerate_torsion",
     "euler_phi",
     "exp_domain_bound",

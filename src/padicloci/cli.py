@@ -56,7 +56,7 @@ from .padic import (
     padic_log,
     teichmuller,
 )
-from .series import AnalyticSeries, newton_polygon, strassmann_count
+from .series import _ORBIT_CAP, AnalyticSeries, newton_polygon, strassmann_count
 
 ENV_PREFIX = "PADICLOCI_"
 INPUT_FREE = {"demo"}
@@ -124,10 +124,13 @@ def _decode(what, fn, *args):
 
 
 def _over_cap(order, dim):
-    """Whether the order**dim grid is over the cap, without raising a huge
-    order to a huge power (2**18 is already over it)."""
-    return order > 1 and (
-        dim >= _VERIFY_GRID_CAP.bit_length() or order ** dim > _VERIFY_GRID_CAP
+    """Whether the ambient rank or the order**dim grid is over the cap,
+    without raising a huge order to a huge power (2**18 is already over
+    it).  The rank counts at order 1 too: the one grid point still has
+    dim coordinates."""
+    return dim > _VERIFY_GRID_CAP or (
+        order > 1
+        and (dim >= _VERIFY_GRID_CAP.bit_length() or order ** dim > _VERIFY_GRID_CAP)
     )
 
 
@@ -394,6 +397,10 @@ def _verify_conic(doc, args):
     if not cert.get("ok"):
         return 1, {"verified": False, "reason": "certificate is a refusal"}
     used = _int_field(cert, "points_used")
+    if used < 0:
+        raise SchemaError("field 'points_used' must be >= 0")
+    if used > _ORBIT_CAP:
+        return 1, {"refusal": "orbit too large"}
     for n in range(used):
         moved = action.orbit_point(n, point)
         for i, g in enumerate(locus.equations):
@@ -528,15 +535,28 @@ def _env_default(name):
 
 
 def _build_parser():
-    # built per call: the defaults read the environment as it is now
     parser = argparse.ArgumentParser(prog="padicloci")
     parser.add_argument("cmd", choices=sorted(_DISPATCH))
-    parser.add_argument("--input", default=_env_default("INPUT"), metavar="FILE")
-    parser.add_argument("--output", default=_env_default("OUTPUT"), metavar="FILE")
-    parser.add_argument("--precision", default=_env_default("PRECISION"), metavar="N")
-    parser.add_argument("--order-bound", default=_env_default("ORDER_BOUND"), metavar="M")
-    parser.add_argument("--jobs", default=_env_default("JOBS") or "1", metavar="K")
+    parser.add_argument("--input", metavar="FILE")
+    parser.add_argument("--output", metavar="FILE")
+    parser.add_argument("--precision", metavar="N")
+    parser.add_argument("--order-bound", metavar="M")
+    parser.add_argument("--jobs", metavar="K")
     return parser
+
+
+_PARSER = _build_parser()
+
+
+def _parse_args(argv):
+    args = _PARSER.parse_args(argv)
+    # a flag left out falls back to the environment as it is at this call
+    for attr in ("input", "output", "precision", "order_bound"):
+        if getattr(args, attr) is None:
+            setattr(args, attr, _env_default(attr.upper()))
+    if args.jobs is None:
+        args.jobs = _env_default("JOBS") or "1"
+    return args
 
 
 def _coerce_int(args, attr):
@@ -572,7 +592,7 @@ def _emit(out, args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         for attr in ("precision", "order_bound", "jobs"):
             _coerce_int(args, attr)

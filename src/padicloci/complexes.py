@@ -27,7 +27,6 @@ from math import lcm
 
 from .cosets import BinomialSystem, solve_binomial
 from .cyclotomic import CycNumber, modular_root
-from .groups import TorsionCharacter
 from .laurent import LaurentPoly, laurent_det, laurent_from_json
 from .linalg import rank_division_free, rank_mod_prime
 
@@ -111,12 +110,7 @@ class TwistedComplex:
 
 
 def _char_values(char, nvars):
-    if isinstance(char, TorsionCharacter):
-        if char.torsion_values:
-            raise ValueError("character must live on the free part")
-        vals = char.free_values
-    else:
-        vals = tuple(Fraction(x) % 1 for x in char)
+    vals = tuple(Fraction(x) % 1 for x in char)
     if len(vals) != nvars:
         raise ValueError("character arity mismatch")
     return vals

@@ -2,15 +2,11 @@
 
 A group is stored in its invariant-factor normal form, free rank plus a
 divisibility chain, as produced by Smith reduction of a relation matrix.
-Characters come in two flavours: torsion characters with values in Q/Z,
-kept exact, and continuous p-adic characters valued in unramified units.
-The Teichmuller decomposition splits the latter into a finite-order part
+Characters are continuous p-adic characters valued in unramified units.
+The Teichmuller decomposition splits one into a finite-order part
 and a pro-p part, and componentwise exp/log identifies the pro-p
 characters near 1 with additive tangent vectors.
 """
-
-import math
-from fractions import Fraction
 
 from .intlinalg import diagonal_of, smith_normal_form
 from .padic import (
@@ -19,7 +15,6 @@ from .padic import (
     UnramifiedScalar,
     check_prime,
     coset_eq,
-    embed_root_of_unity,
     padic_exp,
     padic_log,
     scalar_from_json,
@@ -101,103 +96,6 @@ def smith_decompose(relations):
 
 
 # ---------------------------------------------------------------------------
-# torsion characters, exact in Q/Z
-# ---------------------------------------------------------------------------
-
-
-class TorsionCharacter:
-    """Character with values written additively in Q/Z.
-
-    The free part is arbitrary rational angles, the torsion part is
-    constrained by the invariant factors: the value on a Z/m generator
-    lies in (1/m)Z / Z.
-    """
-
-    __slots__ = ("group", "free_values", "torsion_values")
-
-    def __init__(self, group, free_values, torsion_values):
-        free = tuple(Fraction(q) % 1 for q in free_values)
-        tors = tuple(Fraction(q) % 1 for q in torsion_values)
-        if len(free) != group.rank or len(tors) != len(group.invariant_factors):
-            raise ValueError("value count must match the generator count")
-        for q, m in zip(tors, group.invariant_factors):
-            if (q * m).denominator != 1:
-                raise ValueError("torsion value %s has no m-th root constraint %d" % (q, m))
-        self.group = group
-        self.free_values = free
-        self.torsion_values = tors
-
-    @classmethod
-    def trivial(cls, group):
-        return cls(group, (0,) * group.rank, (0,) * len(group.invariant_factors))
-
-    @property
-    def values(self):
-        return self.free_values + self.torsion_values
-
-    def order(self):
-        return math.lcm(1, *(q.denominator for q in self.values))
-
-    def is_trivial(self):
-        return all(q == 0 for q in self.values)
-
-    def value_on(self, exponents):
-        """Angle of the character on the element with the given exponents."""
-        if len(exponents) != self.group.ngens:
-            raise ValueError("exponent arity mismatch")
-        return sum((q * e for q, e in zip(self.values, exponents)), Fraction(0)) % 1
-
-    def __mul__(self, other):
-        if not isinstance(other, TorsionCharacter) or other.group != self.group:
-            return NotImplemented
-        return TorsionCharacter(
-            self.group,
-            [a + b for a, b in zip(self.free_values, other.free_values)],
-            [a + b for a, b in zip(self.torsion_values, other.torsion_values)],
-        )
-
-    def inverse(self):
-        return self ** -1
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        return TorsionCharacter(
-            self.group,
-            [q * n for q in self.free_values],
-            [q * n for q in self.torsion_values],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, TorsionCharacter):
-            return NotImplemented
-        return self.group == other.group and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.group, self.values))
-
-    def __repr__(self):
-        return "TorsionCharacter(free=%s, torsion=%s)" % (
-            [str(q) for q in self.free_values],
-            [str(q) for q in self.torsion_values],
-        )
-
-    def to_json(self):
-        return {
-            "free": [str(q) for q in self.free_values],
-            "torsion": [str(q) for q in self.torsion_values],
-        }
-
-    @classmethod
-    def from_json(cls, group, doc):
-        return cls(
-            group,
-            [Fraction(s) for s in doc["free"]],
-            [Fraction(s) for s in doc["torsion"]],
-        )
-
-
-# ---------------------------------------------------------------------------
 # continuous p-adic characters
 # ---------------------------------------------------------------------------
 
@@ -248,17 +146,6 @@ class ContinuousCharacter:
         self.torsion_values = tors
         values = free + tors
         self.precision = min(x.M for x in values) if values else 0
-
-    @classmethod
-    def trivial(cls, group, p, f, prec):
-        one = UnramifiedScalar.one(p, f, prec)
-        return cls(
-            group,
-            p,
-            f,
-            (one,) * group.rank,
-            (one,) * len(group.invariant_factors),
-        )
 
     @property
     def values(self):
@@ -478,32 +365,3 @@ def decompose_teichmuller(chi):
         [u for _, u in tors],
     )
     return finite, pro_p
-
-
-def embed_torsion(t, p, precision):
-    """Realize a torsion character p-adically through Teichmuller lifts.
-
-    Picks the smallest f with order | p^f - 1, fixes the order-n root
-    omega built on the pinned residue-field generator, and sends each
-    angle q to omega**(n q).  Injective on characters of the given
-    order.
-    """
-    check_prime(p)
-    n = t.order()
-    if n % p == 0:
-        raise ValueError("p-power torsion requires ramified coefficients: unsupported")
-    if n == 1:
-        return ContinuousCharacter.trivial(t.group, p, 1, precision)
-    omega = embed_root_of_unity(p, Fraction(1, n), precision)
-    f = omega.f
-
-    def lift(q):
-        return omega ** int(n * q)
-
-    return ContinuousCharacter(
-        t.group,
-        p,
-        f,
-        [lift(q) for q in t.free_values],
-        [lift(q) for q in t.torsion_values],
-    )

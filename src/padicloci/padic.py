@@ -23,10 +23,22 @@ say) keeps that type and its residue in the residue field.  Both
 serialize to the same flat f = 1 JSON form.  Ramified data (fractional
 valuations, radii at the convergence boundary) is rejected, not
 approximated.
+
+Every product of coefficient vectors goes through one mul-mod kernel,
+`_vec_mul_mod`.  `padic_exp` splits its argument into bit-burst blocks
+(Brent 1976), one CPython int digit wide and then doubling, and sums
+each block's series by Horner's rule in chunks of about sqrt(J) terms
+(Paterson-Stockmeyer 1973), with one inverse of the factorial's unit
+part for the whole product.  `padic_log` sums its series by Horner's
+rule over lcm(1, ..., K-1) from a prime sieve.  Both carry p-power
+guard digits, so every digit they return is exact.
 """
 
 import math
+import sys
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 
 class PrecisionError(ArithmeticError):
@@ -108,6 +120,14 @@ def exp_domain_bound(p):
 # ---------------------------------------------------------------------------
 
 
+_WORD_BITS = sys.int_info.bits_per_digit
+
+
+def _word_digits(p):
+    # the most base-p digits whose value fits in one CPython int digit
+    return max(1, int(_WORD_BITS / math.log2(p)))
+
+
 def _vec_mul_mod(a, b, h, pm):
     # a, b: little-endian coefficient vectors of length <= f, h monic of
     # degree f; the product modulo h and pm
@@ -139,6 +159,25 @@ def _vec_pow_mod(a, e, h, pm):
         if e:
             base = _vec_mul_mod(base, base, h, pm)
     return result
+
+
+def _vec_inverse_mod(a, p, h, m):
+    # inverse of a unit vector mod (h, p**m), Newton-lifted through
+    # doubling precisions from the residue's inverse in F_(p^f); over
+    # Q_p from a one-word inverse, since pow(a, -1, N) is quadratic
+    if len(h) == 2:
+        prec = min(m, _word_digits(p))
+        cur = [pow(a[0], -1, p ** prec)]
+    else:
+        prec = 1
+        cur = _vec_pow_mod([c % p for c in a], p ** (len(h) - 1) - 2, h, p)
+    while prec < m:
+        prec = min(2 * prec, m)
+        pm = p ** prec
+        two_minus = [-c % pm for c in _vec_mul_mod(a, cur, h, pm)]
+        two_minus[0] = (two_minus[0] + 2) % pm
+        cur = _vec_mul_mod(cur, two_minus, h, pm)
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +627,7 @@ class UnramifiedScalar:
         if self.v is None:
             raise ZeroDivisionError("not invertible at this precision")
         p, f, m = self.p, self.f, self.M
-        h = modulus_poly(p, f)
-        # invert the residue, then Newton-lift the inverse through p^m
-        cur = list((ResidueElement(p, f, self.coeff) ** -1).coeffs)
-        prec = 1
-        while prec < m:
-            prec = min(2 * prec, m)
-            pm = p ** prec
-            two_minus = [-c % pm for c in _vec_mul_mod(self.coeff, cur, h, pm)]
-            two_minus[0] = (two_minus[0] + 2) % pm
-            cur = _vec_mul_mod(cur, two_minus, h, pm)
+        cur = _vec_inverse_mod(self.coeff, p, modulus_poly(p, f), m)
         return self._new(p, f, -self.v, tuple(cur), m)
 
     def __truediv__(self, other):
@@ -823,13 +853,9 @@ def embed_root_of_unity(p, frac, prec):
 
 
 def _exp_term_count(v, p, n):
-    # least J with j*(v*(p-1) - 1) + 1 >= n*(p-1) for every j >= J;
+    # least J >= 1 with j*(v*(p-1) - 1) + 1 >= n*(p-1) for every j >= J;
     # the left side is increasing in j because v > 1/(p-1) on the domain
-    step = v * (p - 1) - 1
-    j = 0
-    while j * step + 1 < n * (p - 1):
-        j += 1
-    return max(j, 1)
+    return max(1, -(-(n * (p - 1) - 1) // (v * (p - 1) - 1)))
 
 
 def _log_term_count(w, p, n):
@@ -837,6 +863,20 @@ def _log_term_count(w, p, n):
     while not (k * w >= n and p ** (k * w - n) >= k):
         k += 1
     return k
+
+
+def _lcm_upto(k):
+    # lcm(1, ..., k): the product of the largest power <= k of each prime
+    sieve = bytearray([1]) * (k + 1)
+    lcm = 1
+    for q in range(2, k + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, k + 1, q)))
+            qe = q
+            while qe * q <= k:
+                qe *= q
+            lcm *= qe
+    return lcm
 
 
 def _exp_domain_check(x):
@@ -851,12 +891,70 @@ def _exp_domain_check(x):
         raise DomainError("exp domain requires valuation >= %d, got %d" % (bound, x.v))
 
 
+def _exp_block(x, v, p, n, h, pn):
+    """(N, u) with N / u = exp(x) mod p**n, for a coefficient vector x
+    of valuation >= v and a rational unit u.
+
+    With J terms, exp(x) = N / M for N = sum_{j<J} (J-1)!/j! x^j and
+    M = (J-1)!.  Horner's rule builds the pair from (1, 1) by the steps
+    (N, M) -> (x*N + t*M, t*M), t = J-1, ..., 1.  The first steps run
+    one by one while the pair is still small; the rest run in chunks of
+    s ~ sqrt(J) (Paterson-Stockmeyer): s steps down from t = hi take
+    (N, M) to (x^s*N + a*M, P_s*M), where P_k = hi*(hi-1)*...*(hi-k+1)
+    and a = sum_{k<s} P_(s-k) x^k, one small exact sum over the powers
+    x^0, ..., x^s that the block computes once.  Both sides are kept mod
+    p**(n + guard), guard = v_p((J-1)!), so dividing out p**guard
+    leaves N mod p**n and the unit part u of (J-1)!.
+    """
+    f = len(x)
+    j_count = _exp_term_count(v, p, n)
+    guard = (j_count - 1 - digit_sum(j_count - 1, p)) // (p - 1)
+    pg = p ** guard
+    pm = pn * pg
+    # over Q_p and below about eight words a step costs the same at any
+    # width, so chunks would only add their own work: every step runs
+    # one by one.  With f > 1 a step is f*f products whose reduction mod
+    # h leaves full-width residues, and chunks pay at any width.
+    size = j_count if f == 1 and pm >> 8 * _WORD_BITS == 0 else math.isqrt(j_count - 1) + 1
+    top = (j_count - 1) // size * size
+    num, den = [1] + [0] * (f - 1), 1
+    for t in range(j_count - 1, top, -1):
+        num = _vec_mul_mod(num, x, h, pm)
+        den *= t
+        num[0] += den
+    if top:
+        powers = [[1] + [0] * (f - 1)]
+        for _ in range(size):
+            powers.append(_vec_mul_mod(powers[-1], x, h, pm))
+        columns = list(zip(*powers))
+        for hi in range(top, 0, -size):
+            steps = list(accumulate(range(hi, hi - size, -1), mul))
+            m = steps[-1]
+            steps.reverse()
+            num = _vec_mul_mod(num, powers[size], h, pm)
+            num = [(c + sum(map(mul, steps, col)) * den) % pm for c, col in zip(num, columns)]
+            den = den * m % pm
+    out = []
+    for c in num:
+        if c % pg:
+            raise AssertionError("factorial guard mismatch; unreachable")
+        out.append(c // pg)
+    return out, den // pg
+
+
 def padic_exp(x, prec=None):
     """exp on its convergence disc: valuation >= 1 (>= 2 when p = 2).
 
     The result is a unit congruent to 1, of the input's class; it is
     determined exactly to the input's absolute precision, so prec beyond
     that raises PrecisionError.
+
+    The argument, reduced mod p**n, is cut into bit-burst blocks of
+    base-p digits (Brent 1976): the first holds as many digits as fit
+    in one CPython int digit, each later one twice as many as the one
+    before, and exp(x) is the product of the blocks' exponentials.  A
+    block starting at digit e needs about n/e series terms, so the wide
+    blocks are short series and the long series has a one-word argument.
     """
     _exp_domain_check(x)
     p, f = x.p, x.f
@@ -869,34 +967,21 @@ def padic_exp(x, prec=None):
     if x.v is None or x.v >= n:
         return x._new(p, f, 0, (1,) + (0,) * (f - 1), n)
     v = x.v
-    j_count = _exp_term_count(v, p, n)
-    guard = (j_count - 1 - digit_sum(j_count - 1, p)) // (p - 1)
-    pm = p ** (n + guard)
     h = modulus_poly(p, f)
-    rep = [c * p ** v % pm for c in x.coeff]
-    # Horner over j < j_count of ((j_count-1)!/j!) x^j, with the factorial
-    # guard p**guard divided back out at the end
-    acc = [1] + [0] * (f - 1)
-    c = 1
-    for j in range(j_count - 1, 0, -1):
-        c = c * j % pm
-        acc = _vec_mul_mod(acc, rep, h, pm)
-        acc[0] = (acc[0] + c) % pm
-    w_unit = 1
     pn = p ** n
-    for j in range(2, j_count):
-        jj = j
-        while jj % p == 0:
-            jj //= p
-        w_unit = w_unit * jj % pn
-    w_inv = pow(w_unit, -1, pn)
-    pg = p ** guard
-    out_coeff = []
-    for s in acc:
-        if s % pg:
-            raise AssertionError("factorial guard mismatch; unreachable")
-        out_coeff.append(s // pg * w_inv % pn)
-    return x._new(p, f, 0, tuple(out_coeff), n)
+    rep = [c * p ** v % pn for c in x.coeff]
+    out, unit = None, 1
+    start, width, low = 0, _word_digits(p), [0] * f
+    while low != rep:
+        below, low = low, [c % p ** (start + width) for c in rep]
+        if low != below:
+            block = [c - b for c, b in zip(low, below)]
+            e, u = _exp_block(block, max(v, start), p, n, h, pn)
+            out = e if out is None else _vec_mul_mod(out, e, h, pn)
+            unit = unit * u % pn
+        start, width = start + width, 2 * width
+    w_inv = _vec_inverse_mod([unit], p, (0, 1), n)[0]
+    return x._new(p, f, 0, tuple([c * w_inv % pn for c in out]), n)
 
 
 def padic_log(x, prec=None):
@@ -928,9 +1013,7 @@ def padic_log(x, prec=None):
     if w >= n:
         return x._new(p, f, None, None, n)
     k_count = _log_term_count(w, p, n)
-    lcm = 1
-    for k in range(1, k_count):
-        lcm = lcm * k // math.gcd(lcm, k)
+    lcm = _lcm_upto(k_count - 1)
     guard = int_valuation(lcm, p)[0] if lcm % p == 0 else 0
     pm = p ** (n + guard)
     h = modulus_poly(p, f)
@@ -944,7 +1027,7 @@ def padic_log(x, prec=None):
     acc = _vec_mul_mod(acc, rep, h, pm)
     pn = p ** n
     pg = p ** guard
-    w_inv = pow(lcm // pg, -1, pn)
+    w_inv = _vec_inverse_mod([lcm // pg], p, (0, 1), n)[0]
     out_coeff = []
     for s in acc:
         if s % pg:

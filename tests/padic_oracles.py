@@ -1,8 +1,12 @@
-"""Slow exact-rational references for the p-adic kernels.
+"""Slow references for the p-adic kernels.
 
-Every value here is an exact Fraction vector over the power basis of
-Q_{p^f}; nothing is truncated until the final coset is assembled, so
-these share no arithmetic with the library's scalar and vector kernels.
+`_exp_reference` and `_log_reference` keep every value as an exact
+Fraction vector over the power basis of Q_{p^f}; nothing is truncated
+until the final coset is assembled, so they share no arithmetic with
+the library's scalar and vector kernels.  `_exp_horner` is the plain
+Horner exponential the library used before its blocked one: one series
+over the whole argument, three reductions per term, and the unit part
+of (J-1)! from a second loop.
 """
 
 from fractions import Fraction
@@ -14,6 +18,8 @@ from padicloci.padic import (
     _exp_domain_check,
     _exp_term_count,
     _log_term_count,
+    _vec_mul_mod,
+    digit_sum,
     exp_domain_bound,
     int_valuation,
     modulus_poly,
@@ -122,3 +128,53 @@ def _log_reference(x, prec=None):
         for i in range(f):
             total[i] += Fraction(sign, k) * power[i]
     return unramified_from_fractions(p, f, total, n)
+
+
+def _exp_term_count_loop(v, p, n):
+    # least J with j*(v*(p-1) - 1) + 1 >= n*(p-1), found by counting up
+    step = v * (p - 1) - 1
+    j = 0
+    while j * step + 1 < n * (p - 1):
+        j += 1
+    return max(j, 1)
+
+
+def _exp_horner(x, prec=None):
+    """Horner exponential over the whole argument; test oracle for padic_exp."""
+    _exp_domain_check(x)
+    p, f = x.p, x.f
+    avail = x.abs_prec
+    n = avail if prec is None else prec
+    if n > avail:
+        raise PrecisionError("exp target precision %d exceeds input precision %d" % (n, avail))
+    if x.v is None or x.v >= n:
+        return x._new(p, f, 0, (1,) + (0,) * (f - 1), n)
+    v = x.v
+    j_count = _exp_term_count_loop(v, p, n)
+    guard = (j_count - 1 - digit_sum(j_count - 1, p)) // (p - 1)
+    pm = p ** (n + guard)
+    h = modulus_poly(p, f)
+    rep = [c * p ** v % pm for c in x.coeff]
+    # Horner over j < j_count of ((j_count-1)!/j!) x^j, with the factorial
+    # guard p**guard divided back out at the end
+    acc = [1] + [0] * (f - 1)
+    c = 1
+    for j in range(j_count - 1, 0, -1):
+        c = c * j % pm
+        acc = _vec_mul_mod(acc, rep, h, pm)
+        acc[0] = (acc[0] + c) % pm
+    w_unit = 1
+    pn = p ** n
+    for j in range(2, j_count):
+        jj = j
+        while jj % p == 0:
+            jj //= p
+        w_unit = w_unit * jj % pn
+    w_inv = pow(w_unit, -1, pn)
+    pg = p ** guard
+    out_coeff = []
+    for s in acc:
+        if s % pg:
+            raise AssertionError("factorial guard mismatch; unreachable")
+        out_coeff.append(s // pg * w_inv % pn)
+    return x._new(p, f, 0, tuple(out_coeff), n)

@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from padicloci.cli import _build_parser, main
+from padicloci.cli import _VERIFY_GRID_CAP, _build_parser, main
 from padicloci.padic import PadicScalar
+from padicloci.series import _ORBIT_CAP
 
 
 def run_cli(argv, payload=None, monkeypatch=None, capsys=None):
@@ -137,6 +138,14 @@ def test_enumerate_torsion_takes_order_from_environment(monkeypatch, capsys):
     assert out["points"][0] == ["0", "0"]
 
 
+def test_each_call_reads_the_environment_as_it_is_then(monkeypatch, capsys):
+    coset = {"lattice_basis": [[1, 0]], "translate": ["0"], "dim": 1}
+    for order in (4, 3):
+        monkeypatch.setenv("PADICLOCI_ORDER_BOUND", str(order))
+        code, out, _ = run_cli(["enumerate-torsion"], {"coset": coset}, monkeypatch, capsys)
+        assert code == 0 and out["count"] == order
+
+
 def test_find_torsion_pipeline_and_verification(monkeypatch, capsys):
     system = {"dim": 2, "equations": [{"exponents": [2, 0], "rhs": "0"}]}
     alpha = PadicScalar.from_int(5, 6, 24).to_json()
@@ -197,6 +206,18 @@ def test_verify_solve_catches_bad_components(monkeypatch, capsys):
     assert code == 1 and out["verified"] is False
 
 
+def test_verify_solve_refuses_an_oversized_rank_at_order_one(monkeypatch, capsys):
+    # the grid has one point, but that point has cap + 1 coordinates
+    vdoc = {
+        "kind": "solve",
+        "system": {"dim": _VERIFY_GRID_CAP + 1, "equations": []},
+        "components": [],
+        "order_bound": 1,
+    }
+    code, out, _ = run_cli(["verify"], vdoc, monkeypatch, capsys)
+    assert code == 1 and out == {"refusal": "verification grid too large"}
+
+
 def test_verify_counts(monkeypatch, capsys):
     doc = {"kind": "counts", "series": series_doc(5, [125, 5, 0, 1]), "count": 3}
     code, out, _ = run_cli(["verify"], doc, monkeypatch, capsys)
@@ -206,7 +227,9 @@ def test_verify_counts(monkeypatch, capsys):
     assert code == 1 and out["verified"] is False
 
 
-def test_verify_conic_round_trip(monkeypatch, capsys):
+def certified_conic(monkeypatch, capsys):
+    """A verify kind=conic document for the graph y = x^2, with the
+    certificate that conic-check issued for it."""
     from padicloci.conic import AnalyticLocus
     from padicloci.laurent import LaurentPoly
     from padicloci.series import PolyDisc
@@ -226,9 +249,30 @@ def test_verify_conic_round_trip(monkeypatch, capsys):
     }
     code, cert, _ = run_cli(["conic-check"], doc, monkeypatch, capsys)
     assert code == 0 and cert["ok"]
-    vdoc = dict(doc, kind="conic", certificate=cert)
+    return dict(doc, kind="conic", certificate=cert)
+
+
+def test_verify_conic_round_trip(monkeypatch, capsys):
+    vdoc = certified_conic(monkeypatch, capsys)
     code, out, _ = run_cli(["verify"], vdoc, monkeypatch, capsys)
     assert code == 0 and out["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "used, code, out",
+    [(-5, 2, None), (_ORBIT_CAP + 1, 1, {"refusal": "orbit too large"})],
+)
+def test_verify_conic_bounds_the_claimed_orbit(used, code, out, monkeypatch, capsys):
+    from padicloci.conic import WeightedAction
+
+    vdoc = certified_conic(monkeypatch, capsys)
+    vdoc["certificate"] = dict(vdoc["certificate"], points_used=used)
+
+    def no_orbit(self, n, point):
+        raise AssertionError("orbit point %d computed for a rejected document" % n)
+
+    monkeypatch.setattr(WeightedAction, "orbit_point", no_orbit)
+    assert run_cli(["verify"], vdoc, monkeypatch, capsys)[:2] == (code, out)
 
 
 def test_shape_check_exit_codes(monkeypatch, capsys):
@@ -283,7 +327,9 @@ def test_oversized_scan_grid_is_refused(cmd, doc, monkeypatch, capsys):
     assert code == 1 and out == {"refusal": "scan grid too large"}
 
 
-@pytest.mark.parametrize("dim, order", [(3, 1000), (10 ** 9, 3)])
+@pytest.mark.parametrize(
+    "dim, order", [(3, 1000), (10 ** 9, 3), (_VERIFY_GRID_CAP + 1, 1)]
+)
 def test_oversized_torsion_grid_is_refused(dim, order, monkeypatch, capsys):
     coset = {"lattice_basis": [], "translate": [], "dim": dim}
     code, out, _ = run_cli(

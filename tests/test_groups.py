@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -6,12 +5,10 @@ from padicloci.groups import (
     CharPoint,
     ContinuousCharacter,
     FgAbGroup,
-    TorsionCharacter,
     char_exp,
     char_log,
     char_pow,
     decompose_teichmuller,
-    embed_torsion,
     offset_coordinates,
     smith_decompose,
 )
@@ -44,23 +41,6 @@ def test_smith_decompose_pinned():
     assert g.rank == 2 and g.invariant_factors == ()
     g = smith_decompose([[2, 4], [4, 8]])
     assert g.rank == 1 and g.invariant_factors == (2,)
-
-
-def test_torsion_character_arithmetic_and_order():
-    G = FgAbGroup(2, (6,))
-    t = TorsionCharacter(G, (Fraction(1, 4), Fraction(0)), (Fraction(1, 6),))
-    assert t.order() == 12
-    assert (t * t).free_values[0] == Fraction(1, 2)
-    assert (t ** 12).is_trivial()
-    assert t.value_on((1, 0, 1)) == Fraction(1, 4) + Fraction(1, 6)
-    assert TorsionCharacter.from_json(G, t.to_json()) == t
-
-
-def test_torsion_character_rejects_incompatible_torsion_values():
-    G = FgAbGroup(2, (6,))
-    # 1/4 is not killed by the invariant factor 6
-    with pytest.raises(ValueError):
-        TorsionCharacter(G, (0, 0), (Fraction(1, 4),))
 
 
 def test_continuous_character_residue_and_precision():
@@ -115,33 +95,6 @@ def test_decompose_teichmuller():
     # idempotent: the principal part has no further finite component
     f2, _ = decompose_teichmuller(pro_p)
     assert all(coset_eq(a, UnramifiedScalar.one(P, 1, a.M)) for a in f2.values)
-
-
-def test_embed_torsion_of_order_three_lands_in_the_quadratic_extension():
-    G3 = FgAbGroup(0, (3,))
-    t3 = TorsionCharacter(G3, (), (Fraction(1, 3),))
-    e3 = embed_torsion(t3, 5, 4)
-    assert e3.f == 2
-    val = e3.torsion_values[0]
-    assert coset_eq(val ** 3, UnramifiedScalar.one(5, 2, 4))
-    assert not coset_eq(val, UnramifiedScalar.one(5, 2, 4))
-    assert e3.residue_character()[0].multiplicative_order() == 3
-
-
-def test_embed_torsion_trivial_and_multiplicative():
-    G3 = FgAbGroup(0, (3,))
-    e0 = embed_torsion(TorsionCharacter.trivial(G3), 5, 4)
-    assert all(coset_eq(v, UnramifiedScalar.one(5, 1, 4)) for v in e0.values)
-    ta = TorsionCharacter(G3, (), (Fraction(1, 3),))
-    tb = TorsionCharacter(G3, (), (Fraction(2, 3),))
-    assert embed_torsion(ta, 5, 4) * embed_torsion(tb, 5, 4) == embed_torsion(ta * tb, 5, 4)
-
-
-def test_embed_torsion_refuses_p_power_orders():
-    t5 = TorsionCharacter(FgAbGroup(1, ()), (Fraction(1, 5),), ())
-    with pytest.raises(ValueError) as info:
-        embed_torsion(t5, 5, 4)
-    assert str(info.value) == "p-power torsion requires ramified coefficients: unsupported"
 
 
 def test_char_points_form_a_group():
