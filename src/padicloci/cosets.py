@@ -11,9 +11,10 @@ values, so
     coset = {x : x ** v = zeta(v) for all v in L}
 
 with L saturated (the quotient of the character lattice by L is
-torsion free) and zeta additive on a Hermite basis of L.  Everything
-up to the certificate pipeline is exact integer and rational
-arithmetic; p-adic data enters only when a component is embedded.
+torsion free) and zeta additive on a Hermite basis of L.  Torsion points
+a / m are walked as integer vectors a, in lexicographic order, off one
+Hermite basis of the solutions mod m; everything up to the certificate
+pipeline is exact, and p-adic data enters only when a point is embedded.
 """
 
 import math
@@ -26,6 +27,7 @@ from .intlinalg import (
     determinant,
     diagonal_of,
     hermite_normal_form,
+    identity_matrix,
     integer_kernel,
     lattice_solve,
     mat_vec,
@@ -209,39 +211,51 @@ def solve_binomial(system):
     return out
 
 
-def enumerate_torsion(coset, order):
-    """All points of order dividing ``order`` on the coset, sorted.
+def torsion_walk(coset, order):
+    """Integer vectors a in [0, order)^d with a / order on the coset, in
+    increasing lexicographic order (Howell 1986).
 
-    Candidate points are a / order with a an integer vector, so the
-    pins become B a = order * zeta over Z / order.  Saturation makes B
-    surjective mod every order, hence the list has exactly
-    order ** dim(coset) entries when order * zeta is integral and is
-    empty otherwise.
+    The pins read B a = order * zeta mod order: a Smith transform W of B
+    (on the columns B uses) gives one solution, and the rest differ by
+    the full-rank lattice of the free columns of W, the unused axes and
+    order * Z^d.  Its row Hermite basis is upper triangular with h_ii
+    dividing order, so with the earlier coordinates fixed coordinate i
+    runs through one class mod h_ii.  There are order ** dim(coset)
+    points when order * zeta is integral (B is saturated), else none.
     """
     m = int(order)
     if m < 1:
         raise ValueError("order bound must be >= 1")
     d = coset.ambient
-    target = []
-    for v in coset.translate:
-        mv = v * m
-        if mv.denominator != 1:
-            return []
-        target.append(int(mv) % m)
-    b = [list(r) for r in coset.basis]
-    r = len(b)
-    if r == 0:
-        pts = [tuple(Fraction(a, m) for a in tup) for tup in product(range(m), repeat=d)]
-        pts.sort()
-        return pts
-    u, _, w = smith_normal_form(b)
-    moved = [sum(c * t for c, t in zip(urow, target)) % m for urow in u]
-    pts = []
-    for free in product(range(m), repeat=d - r):
-        a = mat_vec(w, moved + list(free))
-        pts.append(tuple(Fraction(x % m, m) for x in a))
-    pts.sort()
-    return pts
+    target = [v * m for v in coset.translate]
+    if any(t.denominator != 1 for t in target):
+        return
+    used = [j for j in range(d) if any(row[j] for row in coset.basis)]
+    r, s = len(coset.basis), len(used)
+    u, _, w = smith_normal_form([[row[j] for j in used] for row in coset.basis])
+    part = mat_vec(w, mat_vec(u, [int(t) for t in target]) + [0] * (s - r))
+    free = [[row[j] for row in w] for j in range(r, s)]
+    hnf, _, _ = hermite_normal_form(free + [[m * x for x in e] for e in identity_matrix(s)])
+    start, step, moves = [0] * d, [1] * d, [()] * d
+    for k, j in enumerate(used):
+        start[j], step[j] = part[k] % m, hnf[k][k]
+        moves[j] = [(used[l], hnf[k][l]) for l in range(k + 1, s) if hnf[k][l]]
+    for ks in product(*(range(m // h) for h in step)):
+        res, pt = list(start), []
+        for i, k in enumerate(ks):
+            a = res[i] % step[i] + k * step[i]
+            c = (a - res[i]) // step[i]
+            for j, y in moves[i]:
+                res[j] = (res[j] + c * y) % m
+            pt.append(a)
+        yield tuple(pt)
+
+
+def enumerate_torsion(coset, order):
+    """All points of order dividing ``order`` on the coset, sorted."""
+    m = int(order)
+    fracs = [Fraction(a, m) for a in range(m)]
+    return [tuple(fracs[a] for a in pt) for pt in torsion_walk(coset, m)]
 
 
 def _check_unimodular(auto, d):
@@ -347,18 +361,11 @@ def _contraction_exponent(psi, bound, cap):
         n += 1
 
 
-def _unit_row(d, i):
-    row = [0] * d
-    row[i] = 1
-    return tuple(row)
-
-
 def _certify_component(system, comp, graded, action, auto_rows, prec):
     p = action.p
     d = comp.ambient
     full_order = math.lcm(1, *(v.denominator for v in comp.translate))
-    points = enumerate_torsion(comp, full_order)
-    t = points[0]
+    t = tuple(Fraction(a, full_order) for a in next(torsion_walk(comp, full_order)))
     t_order = math.lcm(1, *(x.denominator for x in t))
     if t_order % p == 0:
         return {
@@ -368,6 +375,11 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
             "torsion_point": [str(x) for x in t],
             "order": t_order,
         }
+
+    # embed the base point through one Teichmuller lift omega of order
+    # t_order before the orbit walk, so an oversized residue field is
+    # refused first; every original equation is re-checked below
+    omega = embed_root_of_unity(p, Fraction(1, t_order) % 1, prec)
 
     # least automorphism power fixing the base point; the orbit stays in
     # the finite set of full_order-torsion points of the component
@@ -382,9 +394,6 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
         if m > cap:
             raise AssertionError("torsion orbit failed to close")
 
-    # embed the base point through one Teichmuller lift omega of order
-    # t_order and re-check every original equation at working precision
-    omega = embed_root_of_unity(p, Fraction(1, t_order) % 1, prec)
     values = [omega ** int(t_order * x) for x in t]
     for v, e in system.equations:
         rhs = omega ** (int(e * t_order) % t_order)
@@ -415,9 +424,9 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
     # the translated component in logarithm coordinates is the common
     # kernel of weight-pure linear forms, so the orbit of the sample
     # tangent vector admits a conic certificate
+    units = [tuple(e) for e in identity_matrix(d)]
     polys = [
-        LaurentPoly(d, {_unit_row(d, i): c for i, c in enumerate(row) if c})
-        for row in graded
+        LaurentPoly(d, {units[i]: c for i, c in enumerate(row) if c}) for row in graded
     ]
     locus = AnalyticLocus.from_polynomials(PolyDisc(p, d, bound), polys, prec)
     conic = conic_certificate(locus, action, tuple(tangent), max(action.weights))

@@ -130,7 +130,7 @@ def _word_digits(p):
 
 def _vec_mul_mod(a, b, h, pm):
     # a, b: little-endian coefficient vectors of length <= f, h monic of
-    # degree f; the product modulo h and pm
+    # degree f; the product reduced by h over Z, then once mod pm
     f = len(h) - 1
     if f == 1:
         return [a[0] * b[0] % pm]
@@ -138,14 +138,13 @@ def _vec_mul_mod(a, b, h, pm):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % pm
+                prod[i + j] += ai * bj
     for k in range(2 * f - 2, f - 1, -1):
         c = prod[k]
         if c:
-            prod[k] = 0
             for i in range(f):
-                prod[k - f + i] = (prod[k - f + i] - c * h[i]) % pm
-    return prod[:f]
+                prod[k - f + i] -= c * h[i]
+    return [c % pm for c in prod[:f]]
 
 
 def _vec_pow_mod(a, e, h, pm):
@@ -252,8 +251,8 @@ def modulus_poly(p, f):
 
     The first monic degree-f polynomial, in lexicographic order of the
     little-endian coefficient tuple (a_0, ..., a_{f-1}) with entries in
-    [0, p), that is irreducible over F_p; returned little-endian including
-    the leading 1.  This is an invented pinned convention: any fixed
+    [0, p), that is irreducible over F_p (from a_0 = 1 when f > 1: x
+    divides the rest); returned little-endian including the leading 1.  This is an invented pinned convention: any fixed
     irreducible would do, determinism is what matters.
     """
     check_prime(p)
@@ -268,7 +267,7 @@ def modulus_poly(p, f):
         return (0, 1)
     from itertools import product
 
-    for tail in product(range(p), repeat=f):
+    for tail in product(range(1, p), *[range(p)] * (f - 1)):
         cand = tuple(tail) + (1,)
         if _is_irreducible(cand, p, f):
             _MODULUS_CACHE[key] = cand

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 _RESULTS = {}
@@ -26,3 +29,28 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(
             "criterion %d %s: %s%s" % (n, "PASS" if passed else "FAIL", label, timing)
         )
+
+
+class BudgetExceeded(Exception):
+    """Raised inside the code under test when its time budget runs out."""
+
+
+@pytest.fixture
+def time_budget():
+    """``with time_budget(s):`` stops the block with BudgetExceeded after s
+    seconds of wall time (SIGALRM), so a slow path fails instead of hanging."""
+
+    @contextlib.contextmanager
+    def budget(seconds):
+        def expire(signum, frame):
+            raise BudgetExceeded("over the %g s budget" % seconds)
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+    return budget

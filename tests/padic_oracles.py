@@ -3,7 +3,9 @@
 `_exp_reference` and `_log_reference` keep every value as an exact
 Fraction vector over the power basis of Q_{p^f}; nothing is truncated
 until the final coset is assembled, so they share no arithmetic with
-the library's scalar and vector kernels.  `_exp_horner` is the plain
+the library's scalar and vector kernels.  `_vec_mul_mod_reference` is
+the mul-mod kernel's oracle: the exact product reduced by a table of
+powers of x rather than by long division.  `_exp_horner` is the plain
 Horner exponential the library used before its blocked one: one series
 over the whole argument, three reductions per term, and the unit part
 of (J-1)! from a second loop.
@@ -73,6 +75,25 @@ def _frac_vec_mul_mod(a, b, h):
             for i in range(f):
                 prod[k - f + i] -= c * h[i]
     return prod[:f]
+
+
+def _vec_mul_mod_reference(a, b, h, pm):
+    """Schoolbook product of coefficient vectors, reduced by the monic h
+    through a table of x^k mod h over the integers, then mod pm."""
+    f = len(h) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    power = [1] + [0] * (f - 1)
+    out = [0] * f
+    for c in prod:
+        out = [o + c * x for o, x in zip(out, power)]
+        # multiply the power by x and replace x^f by -(h_0 + ... + h_(f-1) x^(f-1))
+        top = power[-1]
+        power = [0] + power[:-1]
+        power = [x - top * hi for x, hi in zip(power, h)]
+    return [c % pm for c in out]
 
 
 def _exp_reference(x, prec=None):

@@ -338,6 +338,17 @@ def test_oversized_torsion_grid_is_refused(dim, order, monkeypatch, capsys):
     assert code == 1 and out == {"refusal": "torsion grid too large"}
 
 
+def test_high_rank_torsion_walk_builds_no_square_matrix(monkeypatch, capsys, time_budget):
+    # only the coordinates the pins use enter the Smith and Hermite forms,
+    # so the unpinned rank-3000 torus at order 1 is one point, at once
+    coset = {"lattice_basis": [], "translate": [], "dim": 3000}
+    with time_budget(2):
+        code, out, _ = run_cli(
+            ["enumerate-torsion"], {"coset": coset, "order": 1}, monkeypatch, capsys
+        )
+    assert code == 0 and out["count"] == 1 and out["points"][0] == ["0"] * 3000
+
+
 def test_oversized_component_count_is_refused(monkeypatch, capsys):
     # x**1000000 = 1 on a rank-2 torus has a million components
     system = {"dim": 2, "equations": [{"exponents": [1000000, 0], "rhs": "0"}]}
@@ -354,6 +365,27 @@ def test_huge_residue_degree_is_refused_promptly(monkeypatch, capsys):
     code, out, err = run_cli(["find-torsion"], doc, monkeypatch, capsys)
     assert code == 1 and out is None and "refusing beyond 10^6" in err
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "rhs, auto",
+    [
+        ("1/1001", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ("1/100003", [[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
+    ],
+    ids=["million-point-grid", "long-orbit"],
+)
+def test_oversized_residue_field_is_refused_before_any_walk(
+    rhs, auto, monkeypatch, capsys, time_budget
+):
+    # the least torsion point comes without its 1001^2-point grid, and the
+    # residue field is refused before the 100003-point automorphism orbit
+    system = {"dim": 3, "equations": [{"exponents": [1, 0, 0], "rhs": rhs}]}
+    action = {"p": 5, "weights": [1, 1, 1], "alpha": PadicScalar.from_int(5, 6, 24).to_json()}
+    doc = {"system": system, "action": action, "automorphism": auto, "precision": 16}
+    with time_budget(1):
+        code, out, err = run_cli(["find-torsion"], doc, monkeypatch, capsys)
+    assert code == 1 and out is None and "refusing beyond 10^6" in err
 
 
 @pytest.mark.parametrize(

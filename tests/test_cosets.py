@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicloci.conic import WeightedAction
 from padicloci.cosets import (
@@ -12,6 +14,7 @@ from padicloci.cosets import (
     sigma_stable,
     solve_binomial,
     torsion_certificate_pipeline,
+    torsion_walk,
     transform_coset,
 )
 from padicloci.padic import PadicScalar
@@ -106,6 +109,33 @@ def test_enumerate_torsion_examples():
     assert enumerate_torsion(half, 2) == [(F(1, 2),)]
     # the translate is not 3-torsion, so no 3-torsion points exist
     assert enumerate_torsion(half, 3) == []
+
+
+@st.composite
+def cosets(draw):
+    """A component of a random binomial system of rank <= 3; no equations
+    gives the whole torus (no pinned characters)."""
+    d = draw(st.integers(1, 3), label="rank")
+    vec = st.lists(st.integers(-4, 4), min_size=d, max_size=d).filter(any)
+    rhs = st.builds(F, st.integers(0, 11), st.sampled_from((1, 2, 3, 4, 6)))
+    eqs = draw(st.lists(st.tuples(vec, rhs), max_size=3), label="equations")
+    comps = solve_binomial(BinomialSystem(d, eqs))
+    if not comps:
+        return TorsionCoset(d, (), ())
+    return draw(st.sampled_from(comps), label="component")
+
+
+@settings(max_examples=300, deadline=None)
+@given(coset=cosets(), m=st.integers(1, 12))
+def test_torsion_walk_matches_a_brute_force_filter(coset, m):
+    # orders that miss a translate denominator give empty walks
+    brute = sorted(
+        a
+        for a in product(range(m), repeat=coset.ambient)
+        if coset.contains(tuple(F(x, m) for x in a))
+    )
+    assert list(torsion_walk(coset, m)) == brute
+    assert enumerate_torsion(coset, m) == [tuple(F(x, m) for x in a) for a in brute]
 
 
 # -- stability under automorphisms -------------------------------------------

@@ -1,14 +1,22 @@
+import io
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padicloci import padic
+from padicloci.cli import main
 from padicloci.padic import (
     DomainError,
     PadicScalar,
     PrecisionError,
     ResidueElement,
     UnramifiedScalar,
+    _vec_mul_mod,
     coset_eq,
     embed_root_of_unity,
     exp_domain_bound,
@@ -20,7 +28,7 @@ from padicloci.padic import (
     teichmuller,
 )
 
-from padic_oracles import _exp_reference, _log_reference
+from padic_oracles import _exp_reference, _log_reference, _vec_mul_mod_reference
 
 
 def random_fraction(rng, p):
@@ -224,8 +232,20 @@ def brute_lex_smallest_modulus(p, f):
 
 
 def test_modulus_poly_matches_brute_force_lex_search():
-    for p, f in ((2, 2), (2, 3), (3, 2), (5, 2), (7, 2)):
+    for p, f in ((2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (13, 2), (5, 3), (3, 4)):
         assert modulus_poly(p, f) == brute_lex_smallest_modulus(p, f)
+
+
+def test_modulus_search_at_a_large_prime_is_prompt(monkeypatch, capsys, time_budget):
+    # every candidate with a_0 = 0 is divisible by x; the search must not
+    # spend p^(f-1) irreducibility tests on them first
+    monkeypatch.setattr(padic, "_MODULUS_CACHE", {})
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"p": 10007, "xi": [1, 2, 3], "prec": 4}'))
+    with time_budget(2):
+        assert modulus_poly(10007, 2) == (1, 0, 1)
+        assert main(["teichmuller"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["f"] == 3 and [d[0] for d in out["value"]["unit_digits"]] == [1, 2, 3]
 
 
 def test_residue_element_orders_partition_the_unit_group():
@@ -396,3 +416,23 @@ def test_log_requires_principal_units():
     # dividing out the multiplicative lift of the residue restores the domain
     fixed = mixed * teichmuller(mixed.residue(), 6).inverse()
     assert coset_eq(padic_log(fixed).to_padic(), padic_log(u))
+
+
+# -- the mul-mod kernel -----------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_vec_mul_mod_matches_the_schoolbook_reference(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 13)), label="p")
+    f = data.draw(st.sampled_from((1, 2, 3, 6)), label="f")
+    pm = p ** data.draw(st.integers(1, 40), label="n")
+    if data.draw(st.booleans(), label="pinned modulus"):
+        h = modulus_poly(p, f)
+    else:
+        h = tuple(data.draw(st.lists(st.integers(-p, p), min_size=f, max_size=f))) + (1,)
+    # negative and over-wide coefficients, as the kernel's callers pass them
+    coeff = st.integers(-3 * pm, 3 * pm)
+    a = data.draw(st.lists(coeff, min_size=f, max_size=f), label="a")
+    b = data.draw(st.lists(coeff, min_size=f, max_size=f), label="b")
+    assert _vec_mul_mod(a, b, h, pm) == _vec_mul_mod_reference(a, b, h, pm)
