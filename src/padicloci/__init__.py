@@ -42,7 +42,6 @@ from .cosets import (
 )
 from .cyclotomic import CycNumber, cyclotomic_poly, euler_phi
 from .groups import (
-    CharPoint,
     ContinuousCharacter,
     FgAbGroup,
     char_exp,
@@ -87,7 +86,6 @@ __all__ = [
     "AnalyticLocus",
     "AnalyticSeries",
     "BinomialSystem",
-    "CharPoint",
     "ContinuousCharacter",
     "CycNumber",
     "DomainError",

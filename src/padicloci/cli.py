@@ -115,11 +115,11 @@ def _int_matrix(doc, key):
 
 
 def _decode(what, fn, *args):
-    """fn(*args), with the decoders' KeyError/TypeError/ValueError as a
-    schema error."""
+    """fn(*args), with the decoders' KeyError/TypeError/ValueError (and
+    the AttributeError of a non-object sub-document) as a schema error."""
     try:
         return fn(*args)
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise SchemaError("bad %s: %s" % (what, e))
 
 
@@ -605,6 +605,9 @@ def main(argv=None):
             doc = _load_input(args)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
             print("padicloci: bad input: %s" % e, file=sys.stderr)
+            return 2
+        if not isinstance(doc, dict):
+            print("padicloci: bad input: the document must be a JSON object", file=sys.stderr)
             return 2
     try:
         code, out = _DISPATCH[args.cmd](doc, args)

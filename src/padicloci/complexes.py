@@ -29,6 +29,7 @@ from .cosets import BinomialSystem, solve_binomial
 from .cyclotomic import CycNumber, modular_root
 from .laurent import LaurentPoly, laurent_det, laurent_from_json
 from .linalg import rank_division_free, rank_mod_prime
+from .padic import _json_int
 
 
 class TwistedComplex:
@@ -91,7 +92,7 @@ class TwistedComplex:
 
     @classmethod
     def from_json(cls, doc):
-        nvars = int(doc["vars"])
+        nvars = _json_int(doc["vars"])
         mats = [
             [[laurent_from_json(nvars, cell) for cell in row] for row in m]
             for m in doc["matrices"]
@@ -101,7 +102,7 @@ class TwistedComplex:
             if not mats:
                 raise ValueError("dims required when no matrices are given")
             dims = [len(mats[0][0])] + [len(m) for m in mats]
-        return cls(nvars, dims, mats)
+        return cls(nvars, [_json_int(r) for r in dims], mats)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +270,8 @@ def _normalize_associate(q):
 
 
 def _coeff_key(c):
+    if c.is_rational():
+        return (1, (str(c.rational_value()),))
     return (c.order, tuple(str(x) for x in c.coeffs))
 
 

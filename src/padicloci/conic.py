@@ -13,11 +13,13 @@ import random
 
 from .cyclotomic import CycNumber, cyc_to_json
 from .laurent import laurent_from_json
-from .linalg import kernel_basis, rank_over_field
+from .linalg import kernel_basis, rank_division_free
 from .padic import (
     DomainError,
     PadicScalar,
     PrecisionError,
+    _json_int,
+    check_prime,
     embed_root_of_unity,
     scalar_from_json,
 )
@@ -69,6 +71,7 @@ class WeightedAction:
     __slots__ = ("p", "weights", "alpha", "scaling_valuation")
 
     def __init__(self, p, weights, alpha):
+        check_prime(p)
         weights = tuple(weights)
         if not weights or any(w != int(w) or w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
@@ -99,7 +102,8 @@ class WeightedAction:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(doc["p"], doc["weights"], scalar_from_json(doc["alpha"]))
+        weights = [_json_int(w) for w in doc["weights"]]
+        return cls(_json_int(doc["p"]), weights, scalar_from_json(doc["alpha"]))
 
 
 def orbit_differential_at_zero(action, point):
@@ -382,7 +386,7 @@ def _sample_points(S, count, rng):
 
 
 def _rank_on_columns(rows, cols):
-    return rank_over_field([[row[c] for c in cols] for row in rows])
+    return rank_division_free([[row[c] for c in cols] for row in rows])
 
 
 def _reduces_to_linear(polys, dim):

@@ -22,7 +22,6 @@ from fractions import Fraction
 from itertools import product
 
 from .conic import AnalyticLocus, conic_certificate
-from .groups import FgAbGroup, char_exp, char_pow, offset_coordinates
 from .intlinalg import (
     determinant,
     diagonal_of,
@@ -45,6 +44,7 @@ from .padic import (
     coset_eq,
     embed_root_of_unity,
     exp_domain_bound,
+    padic_exp,
 )
 from .series import PolyDisc
 
@@ -95,9 +95,9 @@ class TorsionCoset:
     The constructor normalizes: the lattice basis goes to Hermite
     normal form with the pinned values carried through the same row
     operations, values are reduced mod 1, and dependent input rows must
-    carry value 0 mod 1 or the pins were contradictory.  Saturation is
-    then checked through the Smith invariant factors, so equal cosets
-    compare equal componentwise.
+    carry value 0 mod 1 or the pins were contradictory.  The r basis rows
+    span a saturated lattice exactly when their columns span Z^r, which
+    is grown one column at a time, so equal cosets compare equal.
     """
 
     __slots__ = ("ambient", "basis", "translate")
@@ -120,10 +120,13 @@ class TorsionCoset:
         self.ambient = ambient
         self.basis = tuple(tuple(r) for r in hnf)
         self.translate = tuple(v % 1 for v in carried)
-        if self.basis:
-            _, d, _ = smith_normal_form([list(r) for r in self.basis])
-            if any(x != 1 for x in diagonal_of(d)):
-                raise ValueError("character lattice is not saturated")
+        unit, span = identity_matrix(len(hnf)), []
+        for col in zip(*hnf):
+            if span == unit:
+                break
+            span = hermite_normal_form(span + [list(col)])[0]
+        if span != unit:
+            raise ValueError("character lattice is not saturated")
 
     @property
     def dim(self):
@@ -346,19 +349,15 @@ def _character_value(values, v):
     return out
 
 
-def _contraction_exponent(psi, bound, cap):
-    """Least n such that every offset of the p^n-th power of psi has
-    valuation at least ``bound``."""
-    cur = psi
+def _contraction_exponent(values, p, bound, cap):
+    """Least n such that every value raised to p^n is within p^-bound of 1."""
     n = 0
-    while True:
-        offs = offset_coordinates(cur, 1)
-        if all(x.norm_exponent() >= bound for x in offs):
-            return n
+    while any((x - 1).norm_exponent() < bound for x in values):
         if n >= cap:
             raise PrecisionError("contraction not visible at this precision")
-        cur = char_pow(cur, psi.p)
+        values = [x ** p for x in values]
         n += 1
+    return n
 
 
 def _certify_component(system, comp, graded, action, auto_rows, prec):
@@ -401,16 +400,12 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
             raise AssertionError("embedded torsion point fails an equation")
 
     # translating by the base point must kill every pin exactly
-    shifted = TorsionCoset(
-        d,
-        comp.basis,
-        [
-            val - sum(c * x for c, x in zip(row, t))
-            for row, val in zip(comp.basis, comp.translate)
-        ],
-    )
-    if any(shifted.translate):
+    if any(
+        (val - sum(c * x for c, x in zip(row, t))) % 1
+        for row, val in zip(comp.basis, comp.translate)
+    ):
         raise AssertionError("translation failed to reach the identity component")
+    through = dict(comp.to_json(), translate=["0"] * len(comp.basis))
 
     # contraction exponent of a sample pro-p character along the
     # subtorus directions, measured rather than assumed
@@ -418,8 +413,7 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
     kernel = integer_kernel([list(r) for r in comp.basis], ncols=d)
     direction = [sum(col) for col in zip(*kernel)] if kernel else [0] * d
     tangent = [PadicScalar.from_int(p, (p ** bound) * c, prec) for c in direction]
-    psi = char_exp(FgAbGroup(d, ()), p, tangent, prec)
-    n_contract = _contraction_exponent(psi, bound, prec)
+    n_contract = _contraction_exponent([padic_exp(x) for x in tangent], p, bound, prec)
 
     # the translated component in logarithm coordinates is the common
     # kernel of weight-pure linear forms, so the orbit of the sample
@@ -445,7 +439,7 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
             "f": omega.f,
             "coeffs": [list(w.residue().coeffs) for w in values],
         },
-        "translation": {"coset_through_identity": shifted.to_json()},
+        "translation": {"coset_through_identity": through},
         "contraction_exponent": n_contract,
         "contraction_target_exp": bound,
         "conic": conic,

@@ -191,6 +191,9 @@ class CycNumber:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
+        # a rational value hashes as its Fraction, equal across orders
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.order, self.coeffs))
 
     def __repr__(self):

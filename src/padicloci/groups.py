@@ -27,13 +27,12 @@ class FgAbGroup:
     """Free rank plus invariant factors m_1 | m_2 | ... (each >= 2).
 
     Generator order is fixed as free generators first, then one torsion
-    generator per invariant factor.  Optional Smith witnesses record
-    where a presentation came from.
+    generator per invariant factor.
     """
 
-    __slots__ = ("rank", "invariant_factors", "relations", "witnesses")
+    __slots__ = ("rank", "invariant_factors")
 
-    def __init__(self, rank, invariant_factors, relations=None, witnesses=None):
+    def __init__(self, rank, invariant_factors):
         if rank < 0:
             raise ValueError("rank must be >= 0")
         factors = tuple(int(m) for m in invariant_factors)
@@ -44,12 +43,6 @@ class FgAbGroup:
                 raise ValueError("invariant factors must form a divisibility chain")
         self.rank = rank
         self.invariant_factors = factors
-        self.relations = relations
-        self.witnesses = witnesses
-
-    @property
-    def ngens(self):
-        return self.rank + len(self.invariant_factors)
 
     def __eq__(self, other):
         if not isinstance(other, FgAbGroup):
@@ -77,22 +70,15 @@ class FgAbGroup:
 def smith_decompose(relations):
     """Group presented by Z^n modulo the rows of an integer matrix.
 
-    The Smith form U R W = D is kept as a witness; unit diagonal entries
-    present trivial factors and are trimmed, zero entries contribute to
-    the free rank.
+    Unit diagonal entries of the Smith form present trivial factors and
+    are trimmed, zero entries contribute to the free rank.
     """
     if not relations or not relations[0]:
         raise ValueError("the relation matrix needs explicit shape; use zero rows")
     ncols = len(relations[0])
-    u, d, w = smith_normal_form(relations)
+    _, d, _ = smith_normal_form(relations)
     diag = [x for x in diagonal_of(d) if x != 0]
-    factors = tuple(x for x in diag if x > 1)
-    return FgAbGroup(
-        ncols - len(diag),
-        factors,
-        relations=tuple(tuple(row) for row in relations),
-        witnesses=(u, w),
-    )
+    return FgAbGroup(ncols - len(diag), tuple(x for x in diag if x > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -216,55 +202,6 @@ class ContinuousCharacter:
             [scalar_from_json(item) for item in doc["free"]],
             [scalar_from_json(item) for item in doc["torsion"]],
         )
-
-
-class CharPoint:
-    """Point of the character variety: one coordinate per generator.
-
-    The group law is coordinatewise multiplication; the coordinate type
-    only needs mul and inverse, so exact cyclotomic and p-adic
-    coefficients both work.
-    """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(coords)
-
-    @classmethod
-    def from_character(cls, chi):
-        return cls(chi.values)
-
-    def __mul__(self, other):
-        if not isinstance(other, CharPoint):
-            return NotImplemented
-        if len(other.coords) != len(self.coords):
-            raise ValueError("coordinate arity mismatch")
-        return CharPoint(tuple(a * b for a, b in zip(self.coords, other.coords)))
-
-    def inverse(self):
-        return CharPoint(tuple(c.inverse() for c in self.coords))
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self.inverse() if n < 0 else self
-        out = base
-        if n == 0:
-            return self * self.inverse()
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, CharPoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "CharPoint(%r)" % (self.coords,)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ negative exponents are fine.
 from fractions import Fraction
 
 from .cyclotomic import CycNumber, cyc_from_json, cyc_to_json
+from .padic import _json_int
 
 
 def _coerce_coeff(c):
@@ -152,7 +153,7 @@ class LaurentPoly:
 def laurent_from_json(nvars, doc):
     terms = {}
     for item in doc:
-        exp = tuple(int(e) for e in item["exp"])
+        exp = tuple(_json_int(e) for e in item["exp"])
         c = cyc_from_json(item["coeff"])
         got = terms.get(exp)
         terms[exp] = c if got is None else got + c

@@ -47,10 +47,6 @@ def _echelon(rows, combine):
     return a, pivots
 
 
-def rank_over_field(rows):
-    return len(_echelon(rows, _cross)[1])
-
-
 def rank_division_free(rows):
     return len(_echelon(rows, _cross)[1])
 

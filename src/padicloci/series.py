@@ -18,6 +18,7 @@ from .padic import (
     DomainError,
     PadicScalar,
     PrecisionError,
+    _json_int,
     check_prime,
     exp_domain_bound,
     scalar_from_json,
@@ -87,7 +88,7 @@ class PolyDisc:
         center = None
         if doc.get("center") is not None:
             center = [scalar_from_json(c) for c in doc["center"]]
-        return cls(doc["p"], doc["dim"], doc["radius_exp"], center)
+        return cls(*(_json_int(doc[k]) for k in ("p", "dim", "radius_exp")), center)
 
 
 def _min_or_none(a, b):
@@ -243,8 +244,9 @@ class AnalyticSeries:
         disc = PolyDisc.from_json(doc["disc"])
         terms = {}
         for item in doc["terms"]:
-            terms[tuple(item["exp"])] = scalar_from_json(item["coeff"])
-        return cls(disc, terms, doc.get("tail_exp"))
+            terms[tuple(_json_int(e) for e in item["exp"])] = scalar_from_json(item["coeff"])
+        tail = doc.get("tail_exp")
+        return cls(disc, terms, None if tail is None else _json_int(tail))
 
 
 # ---------------------------------------------------------------------------

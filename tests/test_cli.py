@@ -410,6 +410,29 @@ def one_equation(exponents, dim=1):
     return {"dim": dim, "equations": [{"exponents": exponents, "rhs": "0"}]}
 
 
+def _conic_with(**action):
+    alpha = PadicScalar.from_int(5, 6, 4).to_json()
+    return {
+        "locus": {"disc": {"p": 5, "dim": 1, "radius_exp": 1}, "equations": []},
+        "action": dict({"p": 5, "weights": [1], "alpha": alpha}, **action),
+        "point": [5],
+    }
+
+
+def _series_with(**changes):
+    return {"series": dict(series_doc(5, [125, 5, 0, 1]), **changes)}
+
+
+def _disc_with(**changes):
+    doc = series_doc(5, [125, 5, 0, 1])
+    return {"series": dict(doc, disc=dict(doc["disc"], **changes))}
+
+
+def _twisted(exp=1, **changes):
+    cplx = dict({"vars": 1, "matrices": [[[[{"coeff": "1", "exp": [exp]}]]]]}, **changes)
+    return {"complex": cplx, "character": ["1/2"]}
+
+
 @pytest.mark.parametrize(
     "cmd, doc",
     [
@@ -422,6 +445,18 @@ def one_equation(exponents, dim=1):
         ("enumerate-torsion", {"coset": dict(LINE, dim=1.9), "order": 2}),
         ("enumerate-torsion", {"coset": dict(LINE, lattice_basis=[[1.5, 0]]), "order": 2}),
         ("teichmuller", {"p": 5, "xi": [2.5], "prec": 4}),
+        ("cohomology", _twisted(exp=1.7)),
+        ("cohomology", _twisted(vars=1.9)),
+        ("cohomology", _twisted(dims=[1, 1.0])),
+        ("shape-check", {"vars": 1, "generators": [[{"coeff": "1", "exp": [True]}]]}),
+        ("strassmann", _series_with(terms=[{"exp": [1.5], "coeff": SCALAR}])),
+        ("strassmann", _series_with(tail_exp="x")),
+        ("strassmann", _series_with(tail_exp=2.5)),
+        ("newton", _disc_with(radius_exp=0.5)),
+        ("newton", _disc_with(dim=1.0)),
+        ("newton", _disc_with(p=5.0)),
+        ("conic-check", _conic_with(p=True)),
+        ("conic-check", _conic_with(weights=[True])),
     ],
     ids=[
         "scalar-v",
@@ -433,12 +468,47 @@ def one_equation(exponents, dim=1):
         "coset-dim",
         "coset-basis",
         "xi-float",
+        "laurent-exponent-float",
+        "complex-vars-float",
+        "complex-dims-float",
+        "laurent-exponent-bool",
+        "series-exponent-float",
+        "tail-exp-string",
+        "tail-exp-float",
+        "radius-exp-float",
+        "disc-dim-float",
+        "disc-p-float",
+        "action-p-bool",
+        "action-weight-bool",
     ],
 )
-def test_non_integer_numbers_in_documents_exit_two(cmd, doc, monkeypatch, capsys):
-    code, out, err = run_cli([cmd], doc, monkeypatch, capsys)
+def test_non_integer_numbers_in_documents_exit_two(cmd, doc, monkeypatch, capsys, time_budget):
+    with time_budget(2):
+        code, out, err = run_cli([cmd], doc, monkeypatch, capsys)
     assert code == 2 and out is None
     assert "expected an integer" in err
+
+
+@pytest.mark.parametrize(
+    "cmd, doc",
+    [
+        ("strassmann", _series_with(disc=5)),
+        ("solve-binomial", 5),
+        ("conic-check", _conic_with(p=-1)),
+        ("conic-check", _conic_with(p=6)),
+    ],
+    ids=[
+        "disc-not-an-object",
+        "document-a-number",
+        "action-p-negative",
+        "action-p-composite",
+    ],
+)
+def test_non_objects_and_non_primes_exit_two(cmd, doc, monkeypatch, capsys, time_budget):
+    with time_budget(2):
+        code, out, err = run_cli([cmd], doc, monkeypatch, capsys)
+    assert code == 2 and out is None
+    assert err.startswith("padicloci:")
 
 
 @pytest.mark.parametrize(
@@ -571,3 +641,15 @@ def test_readme_flag_table_names_exactly_the_parser_flags():
     assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
     flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
     assert documented == flags - {"--help"}
+
+
+def test_fitting_lists_a_generator_once_whatever_order_its_coefficients_carry(
+    monkeypatch, capsys
+):
+    # both entries of the 2x1 map are t - 1, the second written with
+    # roots of unity of orders 2 and 1, so its value carries order 2
+    first = [{"coeff": "1", "exp": [1]}, {"coeff": "-1", "exp": [0]}]
+    second = [{"coeff": {"root": "1/2"}, "exp": [0]}, {"coeff": {"root": "0"}, "exp": [1]}]
+    doc = {"complex": {"vars": 1, "matrices": [[[first], [second]]]}, "i": 0, "j": 0}
+    code, out, _ = run_cli(["fitting"], doc, monkeypatch, capsys)
+    assert code == 0 and out["count"] == 1

@@ -17,6 +17,7 @@ from padicloci.cosets import (
     torsion_walk,
     transform_coset,
 )
+from padicloci.intlinalg import diagonal_of, hermite_normal_form, smith_normal_form
 from padicloci.padic import PadicScalar
 
 F = Fraction
@@ -284,3 +285,32 @@ def test_coset_constructor_normalizes_and_validates():
         TorsionCoset(2, [(1, 0), (2, 0)], [F(0), F(1, 3)])
     with pytest.raises(ValueError):
         TorsionCoset(2, [(2, 0)], [F(0)])  # non-saturated lattice
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 4).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=1, max_size=d
+        )
+    )
+)
+def test_saturation_check_matches_the_smith_diagonal(rows):
+    basis = hermite_normal_form(rows)[0]
+    saturated = not basis or all(x == 1 for x in diagonal_of(smith_normal_form(basis)[1]))
+    try:
+        TorsionCoset(len(rows[0]), rows, [F(0)] * len(rows))
+    except ValueError as e:
+        assert not saturated and "not saturated" in str(e)
+    else:
+        assert saturated
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[1] * 4000, [6, 10, 15] + [0] * 3997, [2] * 3999 + [3]],
+    ids=["all-ones", "coprime-head", "coprime-tail"],
+)
+def test_one_row_coset_at_high_rank_is_prompt(row, time_budget):
+    with time_budget(0.25):
+        c = TorsionCoset(len(row), [row], [F(1, 2)])
+    assert c.dim == len(row) - 1

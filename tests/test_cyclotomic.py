@@ -117,3 +117,9 @@ def test_rational_detection():
     w = z ** 4  # equals -1
     assert w.is_rational() and w.rational_value() == -1
     assert CycNumber.from_rational(Fraction(2, 5)).rational_value() == Fraction(2, 5)
+
+
+def test_equal_rational_values_hash_alike_across_orders():
+    z3 = CycNumber.root_of_unity(Fraction(1, 3))
+    assert len({CycNumber(2, [1]), CycNumber.from_rational(1), z3 ** 3, 1}) == 1
+    assert hash(CycNumber(6, [Fraction(1, 2)])) == hash(Fraction(1, 2))

@@ -2,7 +2,6 @@
 import pytest
 
 from padicloci.groups import (
-    CharPoint,
     ContinuousCharacter,
     FgAbGroup,
     char_exp,
@@ -97,18 +96,15 @@ def test_decompose_teichmuller():
     assert all(coset_eq(a, UnramifiedScalar.one(P, 1, a.M)) for a in f2.values)
 
 
-def test_char_points_form_a_group():
+def test_continuous_characters_form_a_group():
     chi, chi2 = principal_char(1 + P), principal_char(1 + 2 * P)
-    p1 = CharPoint.from_character(chi)
-    p2 = CharPoint.from_character(chi2)
-    p12 = CharPoint.from_character(chi * chi2)
-    got = p1 * p2
-    assert all(coset_eq(a, b) for a, b in zip(got.coords, p12.coords))
-    idp = p1 * p1.inverse()
-    assert all(coset_eq(c, UnramifiedScalar.one(P, 1, c.M)) for c in idp.coords)
+    got = chi * chi2
     assert all(
-        coset_eq(a, b) for a, b in zip((p1 ** 3).coords, (p1 * p1 * p1).coords)
+        coset_eq(g, a * b) for g, a, b in zip(got.values, chi.values, chi2.values)
     )
+    idc = chi * chi.inverse()
+    assert all(coset_eq(c, UnramifiedScalar.one(P, 1, c.M)) for c in idc.values)
+    assert char_pow(chi, 3) == chi * chi * chi
 
 
 def test_offset_coordinates_require_trivial_residue():
