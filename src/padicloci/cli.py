@@ -345,18 +345,18 @@ def _verify_solve(doc, args):
     order = _grid_order(doc, args, system.dim)
     if order is None:
         return 1, {"refusal": "verification grid too large"}
-    for t in product([Fraction(a, order) for a in range(order)], repeat=system.dim):
-        satisfied = all(
-            sum(c * x for c, x in zip(v, t)) % 1 == e for v, e in system.equations
-        )
-        holders = sum(1 for c in comps if c.contains(t))
+    pins = [(v, e * order) for v, e in system.equations]
+    for a in product(range(order), repeat=system.dim):
+        satisfied = all(sum(c * x for c, x in zip(v, a)) % order == t for v, t in pins)
+        holders = sum(1 for c in comps if c.contains(a, order))
         if satisfied and holders != 1:
             reason = "solution covered %d times" % holders
         elif holders and not satisfied:
             reason = "non-solution claimed by a component"
         else:
             continue
-        return 1, {"verified": False, "point": [str(q) for q in t], "reason": reason}
+        point = [str(Fraction(x, order)) for x in a]
+        return 1, {"verified": False, "point": point, "reason": reason}
     return 0, {"verified": True, "points_checked": order ** system.dim}
 
 

@@ -236,8 +236,8 @@ def scan_torsion(cplx, i, j, order_bound):
     euler = sum((-1) ** k * r for k, r in enumerate(cplx.dims))
     hits = []
     scanned = 0
-    for tup in product(range(m), repeat=cplx.nvars):
-        char = tuple(Fraction(a, m) % 1 for a in tup)
+    fracs = [Fraction(a, m) for a in range(m)]
+    for char in product(fracs, repeat=cplx.nvars):
         h = specialize(cplx, char)
         if sum((-1) ** k * x for k, x in enumerate(h)) != euler:
             raise AssertionError("Euler characteristic drifted during the scan")

@@ -11,10 +11,11 @@ values, so
     coset = {x : x ** v = zeta(v) for all v in L}
 
 with L saturated (the quotient of the character lattice by L is
-torsion free) and zeta additive on a Hermite basis of L.  Torsion points
-a / m are walked as integer vectors a, in lexicographic order, off one
-Hermite basis of the solutions mod m; everything up to the certificate
-pipeline is exact, and p-adic data enters only when a point is embedded.
+torsion free) and zeta additive on a Hermite basis of L.  A torsion point
+a / m is held as integer numerators a with the order m, walked in
+lexicographic order off one Hermite basis of the solutions mod m; each pin
+reads <v, a> = m * zeta(v) mod m.  Everything is exact, and p-adic data
+enters only when a point is embedded.
 """
 
 import math
@@ -132,13 +133,15 @@ class TorsionCoset:
     def dim(self):
         return self.ambient - len(self.basis)
 
-    def contains(self, point):
-        """Exact membership of a point given in Q/Z coordinates."""
-        point = tuple(Fraction(x) for x in point)
+    def contains(self, point, order=1):
+        """Exact membership of the point a / order, for a sequence a of
+        integers or Fractions: each pin reads <row, a> = order * value
+        mod order.  A Q/Z point of Fractions is read at order 1."""
         if len(point) != self.ambient:
             raise ValueError("point arity mismatch")
         return all(
-            sum(c * x for c, x in zip(row, point)) % 1 == val
+            sum(c * x for c, x in zip(row, point)) % order * val.denominator
+            == val.numerator * order
             for row, val in zip(self.basis, self.translate)
         )
 
@@ -306,10 +309,6 @@ def transform_coset(coset, auto):
 # ---------------------------------------------------------------------------
 
 
-def _point_image(auto_rows, point):
-    return tuple(v % 1 for v in mat_vec(auto_rows, list(point)))
-
-
 def _graded_basis(basis, weights):
     """Weight-pure basis rows of the lattice, or None when it has none.
 
@@ -364,14 +363,15 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
     p = action.p
     d = comp.ambient
     full_order = math.lcm(1, *(v.denominator for v in comp.translate))
-    t = tuple(Fraction(a, full_order) for a in next(torsion_walk(comp, full_order)))
-    t_order = math.lcm(1, *(x.denominator for x in t))
+    a = next(torsion_walk(comp, full_order))
+    t_order = full_order // math.gcd(full_order, *a)
+    point = [str(Fraction(x, full_order)) for x in a]
     if t_order % p == 0:
         return {
             "status": "certificate unavailable at p, torsion point still emitted exactly",
             "p": p,
             "component": comp.to_json(),
-            "torsion_point": [str(x) for x in t],
+            "torsion_point": point,
             "order": t_order,
         }
 
@@ -383,27 +383,24 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
     # least automorphism power fixing the base point; the orbit stays in
     # the finite set of full_order-torsion points of the component
     m = 1
-    cur = _point_image(auto_rows, t)
+    cur = tuple(x % full_order for x in mat_vec(auto_rows, a))
     cap = full_order ** d + 1
-    while cur != t:
-        if not comp.contains(cur):
+    while cur != a:
+        if not comp.contains(cur, full_order):
             raise AssertionError("stable component lost its torsion orbit")
-        cur = _point_image(auto_rows, cur)
+        cur = tuple(x % full_order for x in mat_vec(auto_rows, cur))
         m += 1
         if m > cap:
             raise AssertionError("torsion orbit failed to close")
 
-    values = [omega ** int(t_order * x) for x in t]
+    values = [omega ** (x * t_order // full_order) for x in a]
     for v, e in system.equations:
         rhs = omega ** (int(e * t_order) % t_order)
         if not coset_eq(_character_value(values, v), rhs):
             raise AssertionError("embedded torsion point fails an equation")
 
     # translating by the base point must kill every pin exactly
-    if any(
-        (val - sum(c * x for c, x in zip(row, t))) % 1
-        for row, val in zip(comp.basis, comp.translate)
-    ):
+    if not comp.contains(a, full_order):
         raise AssertionError("translation failed to reach the identity component")
     through = dict(comp.to_json(), translate=["0"] * len(comp.basis))
 
@@ -432,7 +429,7 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
         "p": p,
         "precision": prec,
         "component": comp.to_json(),
-        "torsion_point": [str(x) for x in t],
+        "torsion_point": point,
         "order": t_order,
         "sigma_power": m,
         "residue_character": {

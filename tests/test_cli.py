@@ -1,14 +1,20 @@
 import argparse
+import contextlib
 import io
 import json
 import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicloci.cli import _VERIFY_GRID_CAP, _build_parser, main
+from padicloci.cosets import BinomialSystem, solve_binomial
 from padicloci.padic import PadicScalar
 from padicloci.series import _ORBIT_CAP
 
@@ -218,6 +224,77 @@ def test_verify_solve_refuses_an_oversized_rank_at_order_one(monkeypatch, capsys
     assert code == 1 and out == {"refusal": "verification grid too large"}
 
 
+def verify_solve_oracle(system, comps, order):
+    """`verify kind=solve` in Q/Z: every point t of ((1/order) Z / Z)^d, in
+    increasing order, against each equation and each component's pins."""
+
+    def pinned(pins, t):
+        return all(sum(c * x for c, x in zip(v, t)) % 1 == e for v, e in pins)
+
+    for t in product([Fraction(a, order) for a in range(order)], repeat=system.dim):
+        satisfied = pinned(system.equations, t)
+        holders = sum(1 for c in comps if pinned(zip(c.basis, c.translate), t))
+        if satisfied and holders != 1:
+            reason = "solution covered %d times" % holders
+        elif holders and not satisfied:
+            reason = "non-solution claimed by a component"
+        else:
+            continue
+        return 1, {"verified": False, "point": [str(q) for q in t], "reason": reason}
+    return 0, {"verified": True, "points_checked": order ** system.dim}
+
+
+def stdout_of(argv, doc):
+    """Exit code and stdout text of one in-process CLI run."""
+    out, old_stdin = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue()
+
+
+@st.composite
+def binomial_systems(draw, d, sizes=(0, 2)):
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    rhs = st.builds(Fraction, st.integers(0, 11), st.sampled_from((1, 2, 3, 4, 6)))
+    eqs = st.lists(st.tuples(vec, rhs), min_size=sizes[0], max_size=sizes[1])
+    return BinomialSystem(d, draw(eqs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verify_solve_matches_the_fraction_grid(data):
+    # the solved list verifies; a dropped, duplicated or foreign component
+    # is caught at the first failing point, as the Q/Z grid finds it
+    d = data.draw(st.integers(1, 3), label="rank")
+    order = data.draw(st.integers(1, 12), label="order")
+    kind = data.draw(st.sampled_from(("solved", "dropped", "duplicated", "foreign")))
+    # a foreign component is mostly off the solutions of a pinned system
+    sizes = (1, 2) if kind == "foreign" else (0, 2)
+    system = data.draw(binomial_systems(d, sizes), label="system")
+    comps = solve_binomial(system)
+    if kind == "dropped" and comps:
+        del comps[data.draw(st.integers(0, len(comps) - 1))]
+    elif kind == "duplicated" and comps:
+        comps.append(comps[data.draw(st.integers(0, len(comps) - 1))])
+    elif kind == "foreign":
+        other = solve_binomial(data.draw(binomial_systems(d, (1, 1)), label="foreign system"))
+        if other:
+            comps.append(data.draw(st.sampled_from(other), label="foreign component"))
+    doc = {
+        "kind": "solve",
+        "system": system.to_json(),
+        "components": [c.to_json() for c in comps],
+        "order_bound": order,
+    }
+    code, out = verify_solve_oracle(system, comps, order)
+    expected = json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
+    assert stdout_of(["verify"], doc) == (code, expected)
+
+
 def test_verify_counts(monkeypatch, capsys):
     doc = {"kind": "counts", "series": series_doc(5, [125, 5, 0, 1]), "count": 3}
     code, out, _ = run_cli(["verify"], doc, monkeypatch, capsys)
@@ -386,6 +463,21 @@ def test_oversized_residue_field_is_refused_before_any_walk(
     with time_budget(1):
         code, out, err = run_cli(["find-torsion"], doc, monkeypatch, capsys)
     assert code == 1 and out is None and "refusing beyond 10^6" in err
+
+
+def test_long_automorphism_orbit_is_walked_in_integers(monkeypatch, capsys, time_budget):
+    # the base point (1/100002, 0) returns to itself after 100002 steps of
+    # [[1, 0], [1, 1]], one integer image and one membership test per step
+    p = 100003
+    system = {"dim": 2, "equations": [{"exponents": [1, 0], "rhs": "1/100002"}]}
+    action = {"p": p, "weights": [1, 1], "alpha": PadicScalar.from_int(p, 1 + p, 24).to_json()}
+    doc = {"system": system, "action": action, "automorphism": [[1, 0], [1, 1]], "precision": 16}
+    with time_budget(3):
+        code, out, _ = run_cli(["find-torsion"], doc, monkeypatch, capsys)
+    assert code == 0
+    [cert] = out["certificates"]
+    assert cert["status"] == "ok" and cert["sigma_power"] == 100002
+    assert cert["torsion_point"] == ["1/100002", "0"] and cert["order"] == 100002
 
 
 @pytest.mark.parametrize(

@@ -129,12 +129,14 @@ def cosets(draw):
 @settings(max_examples=300, deadline=None)
 @given(coset=cosets(), m=st.integers(1, 12))
 def test_torsion_walk_matches_a_brute_force_filter(coset, m):
-    # orders that miss a translate denominator give empty walks
-    brute = sorted(
-        a
-        for a in product(range(m), repeat=coset.ambient)
-        if coset.contains(tuple(F(x, m) for x in a))
-    )
+    # orders that miss a translate denominator give empty walks; the
+    # integer numerators a at order m and the Q/Z point a / m read alike
+    brute = []
+    for a in product(range(m), repeat=coset.ambient):
+        member = coset.contains(tuple(F(x, m) for x in a))
+        assert coset.contains(a, m) == member
+        if member:
+            brute.append(a)
     assert list(torsion_walk(coset, m)) == brute
     assert enumerate_torsion(coset, m) == [tuple(F(x, m) for x in a) for a in brute]
 
