@@ -3,13 +3,13 @@
 The layers build on each other: exact p-adic and unramified scalars
 with Teichmuller lifts and exp/log kernels, zero counting for rigid
 analytic series on polydiscs, conic orbit certificates for weighted
-homothety actions, character groups with their logarithm coordinates,
-binomial systems solved into torsion cosets with a certificate
-pipeline, and twisted cohomology of small free complexes with
-jumping-locus scans.  Everything is integer and fraction arithmetic;
+homothety actions, binomial systems solved into torsion cosets with a
+certificate pipeline, and twisted cohomology of small free complexes
+with jumping-locus scans.  Everything is integer and fraction arithmetic;
 nothing here rounds.
 """
 
+from . import groups  # noqa: F401  (perfbench/tracing.py looks it up by name)
 from .complexes import (
     JumpingLocusSample,
     TwistedComplex,
@@ -22,15 +22,7 @@ from .complexes import (
     torus_complex,
     wedge_complex,
 )
-from .conic import (
-    AnalyticLocus,
-    WeightedAction,
-    conic_certificate,
-    linearity_check,
-    orbit_differential_at_zero,
-    tangent_space_at_zero,
-    weighted_degree,
-)
+from .conic import AnalyticLocus, WeightedAction, conic_certificate
 from .cosets import (
     BinomialSystem,
     TorsionCoset,
@@ -38,19 +30,8 @@ from .cosets import (
     sigma_stable,
     solve_binomial,
     torsion_certificate_pipeline,
-    transform_coset,
 )
-from .cyclotomic import CycNumber, cyclotomic_poly, euler_phi
-from .groups import (
-    ContinuousCharacter,
-    FgAbGroup,
-    char_exp,
-    char_log,
-    char_pow,
-    decompose_teichmuller,
-    offset_coordinates,
-    smith_decompose,
-)
+from .cyclotomic import CycNumber, cyclotomic_poly
 from .laurent import LaurentPoly, laurent_det
 from .padic import (
     DomainError,
@@ -86,10 +67,8 @@ __all__ = [
     "AnalyticLocus",
     "AnalyticSeries",
     "BinomialSystem",
-    "ContinuousCharacter",
     "CycNumber",
     "DomainError",
-    "FgAbGroup",
     "JumpingLocusSample",
     "LaurentPoly",
     "NewtonPolygon",
@@ -101,27 +80,19 @@ __all__ = [
     "TwistedComplex",
     "UnramifiedScalar",
     "WeightedAction",
-    "char_exp",
-    "char_log",
-    "char_pow",
     "check_scaling_unit",
     "circle_complex",
     "conic_certificate",
     "coset_eq",
     "cyclotomic_poly",
-    "decompose_teichmuller",
     "embed_root_of_unity",
     "enumerate_torsion",
-    "euler_phi",
     "exp_domain_bound",
     "fitting_locus",
     "laurent_det",
-    "linearity_check",
     "modulus_poly",
     "multiplicative_generator",
     "newton_polygon",
-    "offset_coordinates",
-    "orbit_differential_at_zero",
     "padic_exp",
     "padic_log",
     "residue_field_elements",
@@ -130,17 +101,13 @@ __all__ = [
     "scan_torsion",
     "shape_check",
     "sigma_stable",
-    "smith_decompose",
     "solve_binomial",
     "specialize",
     "strassmann_count",
     "surface_complex",
-    "tangent_space_at_zero",
     "teichmuller",
     "torsion_certificate_pipeline",
     "torus_complex",
-    "transform_coset",
     "vanish_certificate",
     "wedge_complex",
-    "weighted_degree",
 ]

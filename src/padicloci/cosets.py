@@ -293,17 +293,6 @@ def sigma_stable(coset, auto):
     return True
 
 
-def transform_coset(coset, auto):
-    """The coset pinned by the transported characters v A.
-
-    Dual route to sigma_stable: the coset is stable exactly when its
-    transform normalizes back to itself.
-    """
-    a = _check_unimodular(auto, coset.ambient)
-    rows = [vec_mat(list(row), a) for row in coset.basis]
-    return TorsionCoset(coset.ambient, rows, coset.translate)
-
-
 # ---------------------------------------------------------------------------
 # certificate pipeline
 # ---------------------------------------------------------------------------

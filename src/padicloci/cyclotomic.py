@@ -20,13 +20,6 @@ from fractions import Fraction
 from .padic import _MR_LIMIT, _is_prime, _prime_factors
 
 
-def euler_phi(m):
-    out = m
-    for q in set(_prime_factors(m)):
-        out -= out // q
-    return out
-
-
 def _trim(a):
     while a and a[-1] == 0:
         a.pop()

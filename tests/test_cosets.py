@@ -15,9 +15,13 @@ from padicloci.cosets import (
     solve_binomial,
     torsion_certificate_pipeline,
     torsion_walk,
-    transform_coset,
 )
-from padicloci.intlinalg import diagonal_of, hermite_normal_form, smith_normal_form
+from padicloci.intlinalg import (
+    diagonal_of,
+    hermite_normal_form,
+    smith_normal_form,
+    vec_mat,
+)
 from padicloci.padic import PadicScalar
 
 F = Fraction
@@ -144,6 +148,32 @@ def test_torsion_walk_matches_a_brute_force_filter(coset, m):
 # -- stability under automorphisms -------------------------------------------
 
 
+def transform_coset(coset, auto):
+    """The coset pinned by the transported characters v A.
+
+    Dual route to sigma_stable: the coset is stable exactly when its
+    transform normalizes back to itself.
+    """
+    rows = [vec_mat(list(row), auto) for row in coset.basis]
+    return TorsionCoset(coset.ambient, rows, coset.translate)
+
+
+def random_unimodular(rng, d):
+    """A product of a few swaps, sign flips and elementary row additions."""
+    a = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(rng.randrange(0, 4)):
+        i, j = rng.randrange(d), rng.randrange(d)
+        move = rng.randrange(3)
+        if move == 0:
+            a[i], a[j] = a[j], a[i]
+        elif move == 1:
+            a[i] = [-x for x in a[i]]
+        elif i != j:
+            c = rng.choice((-1, 1))
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return a
+
+
 def test_sigma_stable_examples_and_dual_route():
     line = TorsionCoset(2, [(1, 0)], [F(0)])
     diag = TorsionCoset(2, [(1, 0), (0, 1)], [F(0), F(0)])
@@ -186,6 +216,25 @@ def test_transform_coset_carries_the_characters():
                     sum(a * x for a, x in zip(row, s)) % 1 for row in auto
                 )
                 assert moved.contains(s) == comp.contains(image)
+
+
+def test_sigma_stable_agrees_with_the_transformed_coset():
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(2000):
+        d = rng.randrange(1, 4)
+        rows = [[rng.randrange(-2, 3) for _ in range(d)] for _ in range(d)]
+        eqs = [
+            (v, F(rng.randrange(0, 6), 6))
+            for v in rows[: rng.randrange(0, d + 1)]
+            if any(v)
+        ]
+        for comp in solve_binomial(BinomialSystem(d, eqs)):
+            auto = random_unimodular(rng, d)
+            stable = sigma_stable(comp, auto)
+            assert stable == (transform_coset(comp, auto) == comp)
+            outcomes.add(stable)
+    assert outcomes == {True, False}
 
 
 def test_sigma_stable_rejects_non_unimodular_maps():
