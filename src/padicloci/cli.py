@@ -337,26 +337,40 @@ def _cmd_shape_check(doc, args):
 # ---------------------------------------------------------------------------
 
 
+def _component_in(doc, dim):
+    comp = _decode("component", TorsionCoset.from_json, doc)
+    if comp.ambient != dim:
+        raise SchemaError("component of rank %d on a torus of rank %d" % (comp.ambient, dim))
+    return comp
+
+
 def _verify_solve(doc, args):
     system = _system_in(doc)
-    comps = [
-        _decode("component", TorsionCoset.from_json, c) for c in _need(doc, "components", list)
-    ]
+    comps = [_component_in(c, system.dim) for c in _need(doc, "components", list)]
     order = _grid_order(doc, args, system.dim)
     if order is None:
         return 1, {"refusal": "verification grid too large"}
-    pins = [(v, e * order) for v, e in system.equations]
-    for a in product(range(order), repeat=system.dim):
-        satisfied = all(sum(c * x for c, x in zip(v, a)) % order == t for v, t in pins)
-        holders = sum(1 for c in comps if c.contains(a, order))
-        if satisfied and holders != 1:
-            reason = "solution covered %d times" % holders
-        elif holders and not satisfied:
+    # each pin's target order * e as an integer, or -1, met by no residue, when it is not one
+    pins = [
+        (v, order // e.denominator * e.numerator if order % e.denominator == 0 else -1)
+        for v, e in system.equations
+    ]
+    # each pin's residue at the head, then advanced along the last coordinate
+    for head in product(range(order), repeat=system.dim - 1):
+        met = [True] * order
+        for v, t in pins:
+            r, step = sum(c * x for c, x in zip(v, head)), v[-1]
+            met = [m and (r + step * x) % order == t for m, x in zip(met, range(order))]
+        for x, satisfied in enumerate(met):
+            a = head + (x,)
+            holders = sum([c.contains(a, order) for c in comps])
+            if holders == satisfied:  # a solution is held once, a non-solution never
+                continue
             reason = "non-solution claimed by a component"
-        else:
-            continue
-        point = [str(Fraction(x, order)) for x in a]
-        return 1, {"verified": False, "point": point, "reason": reason}
+            if satisfied:
+                reason = "solution covered %d times" % holders
+            point = [str(Fraction(y, order)) for y in a]
+            return 1, {"verified": False, "point": point, "reason": reason}
     return 0, {"verified": True, "points_checked": order ** system.dim}
 
 
@@ -365,8 +379,8 @@ def _verify_certificates(doc, args):
     auto = _int_matrix(doc, "automorphism")
     certs = _need(doc, "certificates", list)
     for k, cert in enumerate(certs):
-        comp = _decode("component", TorsionCoset.from_json, _need(cert, "component", dict))
-        point = tuple(_fraction(s, "torsion point") for s in _need(cert, "torsion_point", list))
+        comp = _component_in(_need(cert, "component", dict), system.dim)
+        point = _character_in(cert, "torsion_point", system.dim)
         if not comp.contains(point):
             return 1, {"verified": False, "index": k, "reason": "point off its component"}
         if not sigma_stable(comp, auto):

@@ -21,6 +21,7 @@ enters only when a point is embedded.
 import math
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .conic import AnalyticLocus, conic_certificate
 from .intlinalg import (
@@ -101,7 +102,7 @@ class TorsionCoset:
     is grown one column at a time, so equal cosets compare equal.
     """
 
-    __slots__ = ("ambient", "basis", "translate")
+    __slots__ = ("ambient", "basis", "translate", "_pins")
 
     def __init__(self, ambient, basis, translate):
         ambient = int(ambient)
@@ -121,6 +122,7 @@ class TorsionCoset:
         self.ambient = ambient
         self.basis = tuple(tuple(r) for r in hnf)
         self.translate = tuple(v % 1 for v in carried)
+        self._pins = tuple((r, v.numerator, v.denominator) for r, v in zip(hnf, self.translate))
         unit, span = identity_matrix(len(hnf)), []
         for col in zip(*hnf):
             if span == unit:
@@ -139,11 +141,10 @@ class TorsionCoset:
         mod order.  A Q/Z point of Fractions is read at order 1."""
         if len(point) != self.ambient:
             raise ValueError("point arity mismatch")
-        return all(
-            sum(c * x for c, x in zip(row, point)) % order * val.denominator
-            == val.numerator * order
-            for row, val in zip(self.basis, self.translate)
-        )
+        for row, num, den in self._pins:
+            if sum(map(mul, row, point)) % order * den != num * order:
+                return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, TorsionCoset):

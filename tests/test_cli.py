@@ -224,6 +224,30 @@ def test_verify_solve_refuses_an_oversized_rank_at_order_one(monkeypatch, capsys
     assert code == 1 and out == {"refusal": "verification grid too large"}
 
 
+@pytest.mark.parametrize(
+    "order, exponents, rhs, count",
+    [(58, [1, 2, 3], "1/2", 1), (447, [2, -4], "2/3", 2)],
+    ids=["rank-3-one-component", "rank-2-two-components"],
+)
+def test_verify_solve_walks_a_near_cap_grid_quickly(
+    order, exponents, rhs, count, monkeypatch, capsys, time_budget
+):
+    # 58**3 and 447**2 are just under the grid cap; each point is one
+    # membership test per component
+    system = BinomialSystem(len(exponents), [(exponents, Fraction(rhs))])
+    comps = solve_binomial(system)
+    assert len(comps) == count and order ** system.dim <= _VERIFY_GRID_CAP
+    vdoc = {
+        "kind": "solve",
+        "system": system.to_json(),
+        "components": [c.to_json() for c in comps],
+        "order_bound": order,
+    }
+    with time_budget(1):
+        code, out, _ = run_cli(["verify"], vdoc, monkeypatch, capsys)
+    assert code == 0 and out == {"verified": True, "points_checked": order ** system.dim}
+
+
 def verify_solve_oracle(system, comps, order):
     """`verify kind=solve` in Q/Z: every point t of ((1/order) Z / Z)^d, in
     increasing order, against each equation and each component's pins."""
@@ -264,13 +288,22 @@ def binomial_systems(draw, d, sizes=(0, 2)):
     return BinomialSystem(d, draw(eqs))
 
 
+# most grid points one example walks, so 150 examples of the Fraction
+# oracle take a few seconds: orders up to 24 at ranks 1 and 2, 20 at rank
+# 3 and 9 at rank 4
+ORACLE_GRID = 8000
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_verify_solve_matches_the_fraction_grid(data):
     # the solved list verifies; a dropped, duplicated or foreign component
-    # is caught at the first failing point, as the Q/Z grid finds it
-    d = data.draw(st.integers(1, 3), label="rank")
-    order = data.draw(st.integers(1, 12), label="order")
+    # is caught at the first failing point, as the Q/Z grid finds it.  Rank
+    # 1 walks the empty head, and an order the rhs denominator does not
+    # divide leaves a pin with no integer target.
+    order = data.draw(st.integers(1, 24), label="order")
+    top = max(k for k in range(1, 5) if order ** k <= ORACLE_GRID)
+    d = data.draw(st.integers(1, top), label="rank")
     kind = data.draw(st.sampled_from(("solved", "dropped", "duplicated", "foreign")))
     # a foreign component is mostly off the solutions of a pinned system
     sizes = (1, 2) if kind == "foreign" else (0, 2)
@@ -713,6 +746,39 @@ def test_malformed_verify_and_find_torsion_inputs_end_in_an_exit_code(
     assert code in (1, 2)
     if code == 2:
         assert out is None
+
+
+# a line on the rank-3 torus, offered to systems on the rank-2 torus
+RANK_3_LINE = {"lattice_basis": [[1, 0, 0]], "translate": ["0"], "dim": 2}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda mp, cs: {
+                "kind": "solve",
+                "system": SQUARE_SYSTEM,
+                "components": [RANK_3_LINE],
+                "order_bound": 3,
+            },
+            "component of rank 3 on a torus of rank 2",
+        ),
+        (
+            lambda mp, cs: certificates_doc(mp, cs, component=RANK_3_LINE),
+            "component of rank 3 on a torus of rank 2",
+        ),
+        (
+            lambda mp, cs: certificates_doc(mp, cs, torsion_point=["1/2", "0", "0"]),
+            "character needs 2 coordinates",
+        ),
+    ],
+    ids=["solve", "certificates", "certificate-point"],
+)
+def test_verify_rejects_a_rank_other_than_the_systems(build, message, monkeypatch, capsys):
+    code, out, err = run_cli(["verify"], build(monkeypatch, capsys), monkeypatch, capsys)
+    assert code == 2 and out is None
+    assert err == "padicloci: %s\n" % message
 
 
 def test_plain_number_laurent_coefficient(monkeypatch, capsys):
