@@ -60,7 +60,8 @@ from .series import _ORBIT_CAP, AnalyticSeries, newton_polygon, strassmann_count
 
 ENV_PREFIX = "PADICLOCI_"
 INPUT_FREE = {"demo"}
-# largest character grid a scan or a verification may walk
+# largest character grid a scan or a verification may walk, and so the
+# largest character order `cohomology` takes (a one-variable scan's)
 _VERIFY_GRID_CAP = 200000
 
 
@@ -112,6 +113,13 @@ def _int_matrix(doc, key):
         if not isinstance(r, list) or any(isinstance(c, bool) or not isinstance(c, int) for c in r):
             raise SchemaError("field '%s' must be a list of integer rows" % key)
     return rows
+
+
+def _automorphism_in(doc, dim):
+    auto = _int_matrix(doc, "automorphism")
+    if len(auto) != dim or any(len(r) != dim for r in auto):
+        raise SchemaError("automorphism shape mismatch")
+    return auto
 
 
 def _decode(what, fn, *args):
@@ -273,7 +281,9 @@ def _cmd_enumerate_torsion(doc, args):
 def _cmd_find_torsion(doc, args):
     system = _system_in(doc)
     action = _decode("action", WeightedAction.from_json, _need(doc, "action", dict))
-    auto = _int_matrix(doc, "automorphism")
+    if action.dim != system.dim:
+        raise SchemaError("action arity mismatch")
+    auto = _automorphism_in(doc, system.dim)
     prec = _precision(doc, args, 24)
     certs = torsion_certificate_pipeline(system, action, auto, prec)
     code = 0 if all(c["status"] == "ok" for c in certs) else 1
@@ -283,6 +293,8 @@ def _cmd_find_torsion(doc, args):
 def _cmd_cohomology(doc, args):
     cplx = _complex_in(doc)
     char = _character_in(doc, "character", cplx.nvars)
+    if math.lcm(*(q.denominator for q in char)) > _VERIFY_GRID_CAP:
+        return 1, {"refusal": "character order too large"}
     return 0, {"h": list(specialize(cplx, char))}
 
 
@@ -376,7 +388,7 @@ def _verify_solve(doc, args):
 
 def _verify_certificates(doc, args):
     system = _system_in(doc)
-    auto = _int_matrix(doc, "automorphism")
+    auto = _automorphism_in(doc, system.dim)
     certs = _need(doc, "certificates", list)
     for k, cert in enumerate(certs):
         comp = _component_in(_need(cert, "component", dict), system.dim)

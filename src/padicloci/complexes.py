@@ -15,6 +15,9 @@ true rank of D^k is at most u_k = min(dims[k] - r_(k-1),
 dims[k+1] - r_(k+1)).  When r_k = u_k for every k the ranks are
 proved; otherwise, or when ell divides a coefficient denominator, the
 exact fraction-free elimination over the cyclotomic field decides.
+The choice of ell and the image of every coefficient depend on the
+character's order only, so that reduction is built once per order and
+kept on the complex; each character then only sums powers of one root.
 Nothing is rounded on either path.  On top of that sit full torsion
 scans of the jumping condition h^i > j, determinantal generators for
 the same condition, and a shape test that recognizes when those
@@ -24,6 +27,7 @@ generators cut out a union of torsion cosets.
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from operator import mul
 
 from .cosets import BinomialSystem, solve_binomial
 from .cyclotomic import CycNumber, modular_root
@@ -40,7 +44,7 @@ class TwistedComplex:
     rows and dims[i] columns.
     """
 
-    __slots__ = ("nvars", "dims", "mats")
+    __slots__ = ("nvars", "dims", "mats", "_reductions")
 
     def __init__(self, nvars, dims, mats):
         nvars = int(nvars)
@@ -60,6 +64,8 @@ class TwistedComplex:
         self.nvars = nvars
         self.dims = dims
         self.mats = tuple(mats)
+        # den -> the mod-ell reduction for characters of that order, or None
+        self._reductions = {}
 
     @staticmethod
     def _entry(e, nvars):
@@ -125,6 +131,30 @@ def _betti(dims, ranks):
     return tuple(out)
 
 
+def _reduction(cplx, den):
+    """(big, ell, omega, mats) for the characters of order den, or None
+    where the exact path decides: big is the lcm of den and the
+    coefficient orders, (ell, omega) = modular_root(big), and each cell
+    of mats lists its terms as (exponent, image mod ell)."""
+    if den in cplx._reductions:
+        return cplx._reductions[den]
+    coeffs = [c for m in cplx.mats for row in m for e in row for c in e.terms.values()]
+    big = lcm(den, *(c.order for c in coeffs))
+    got = modular_root(big)
+    out = None
+    if got is not None:
+        ell, omega = got
+        mats = [
+            [[[(exp, c.mod_image(ell, pow(omega, big // c.order, ell)))
+               for exp, c in e.terms.items()] for e in row] for row in m]
+            for m in cplx.mats
+        ]
+        if all(img is not None for m in mats for row in m for e in row for _, img in e):
+            out = (big, ell, omega, mats)
+    cplx._reductions[den] = out
+    return out
+
+
 def _modular_ranks(cplx, vals):
     """Ranks of the differentials proved by reduction mod a prime, or None.
 
@@ -132,28 +162,18 @@ def _modular_ranks(cplx, vals):
     each meets the upper bound that the neighbouring ranks impose
     through D^(k+1) D^k = 0.
     """
-    coeffs = [c for m in cplx.mats for row in m for e in row for c in e.terms.values()]
-    big = lcm(*(q.denominator for q in vals), *(c.order for c in coeffs))
-    got = modular_root(big)
-    if got is None:
+    red = _reduction(cplx, lcm(*(q.denominator for q in vals)))
+    if red is None:
         return None
-    ell, omega = got
+    big, ell, omega, mats = red
     point = [q.numerator * (big // q.denominator) for q in vals]
     ranks = []
-    for m in cplx.mats:
-        rows = []
-        for row in m:
-            out = []
-            for e in row:
-                acc = 0
-                for exp, c in e.terms.items():
-                    img = c.mod_image(ell, pow(omega, big // c.order, ell))
-                    if img is None:
-                        return None
-                    k = sum(x * a for x, a in zip(exp, point)) % big
-                    acc += img * pow(omega, k, ell)
-                out.append(acc % ell)
-            rows.append(out)
+    for m in mats:
+        rows = [
+            [sum(img * pow(omega, sum(map(mul, exp, point)) % big, ell) for exp, img in e) % ell
+             for e in row]
+            for row in m
+        ]
         ranks.append(rank_mod_prime(rows, ell))
     dims = cplx.dims
     for k, r in enumerate(ranks):

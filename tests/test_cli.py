@@ -781,6 +781,56 @@ def test_verify_rejects_a_rank_other_than_the_systems(build, message, monkeypatc
     assert err == "padicloci: %s\n" % message
 
 
+FIND_DOC = {"system": SQUARE_SYSTEM, "action": ACTION, "automorphism": IDENTITY, "precision": 16}
+IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "cmd, build, message",
+    [
+        (
+            "find-torsion",
+            lambda mp, cs: dict(FIND_DOC, automorphism=IDENTITY_3),
+            "automorphism shape mismatch",
+        ),
+        ("find-torsion", lambda mp, cs: dict(FIND_DOC, automorphism=[[1]]), "automorphism shape mismatch"),
+        (
+            "find-torsion",
+            lambda mp, cs: dict(FIND_DOC, action=dict(ACTION, weights=[1])),
+            "action arity mismatch",
+        ),
+        (
+            "verify",
+            lambda mp, cs: dict(certificates_doc(mp, cs), automorphism=IDENTITY_3),
+            "automorphism shape mismatch",
+        ),
+    ],
+    ids=["find-automorphism-3x3", "find-automorphism-1x1", "find-weights", "certificates-automorphism"],
+)
+def test_sizes_other_than_the_systems_dim_exit_two(cmd, build, message, monkeypatch, capsys):
+    code, out, err = run_cli([cmd], build(monkeypatch, capsys), monkeypatch, capsys)
+    assert code == 2 and out is None
+    assert err == "padicloci: %s\n" % message
+
+
+@pytest.mark.parametrize("order", [2 ** 64 + 13, 2 ** 127 + 1], ids=["2^64+13", "128-bit"])
+def test_cohomology_refuses_a_character_order_over_the_cap(order, monkeypatch, capsys, time_budget):
+    doc = {"complex": {"builtin": "torus"}, "character": ["1/%d" % order, "0"]}
+    with time_budget(2):
+        code, out, _ = run_cli(["cohomology"], doc, monkeypatch, capsys)
+    assert code == 1 and out == {"refusal": "character order too large"}
+
+
+def test_cohomology_takes_a_character_order_at_the_cap(monkeypatch, capsys):
+    # the README example, and the largest order a one-variable scan visits
+    torus = {"complex": {"builtin": "torus"}}
+    code, out, _ = run_cli(["cohomology"], dict(torus, character=["1/2", "0"]), monkeypatch, capsys)
+    assert code == 0 and out == {"h": [0, 0, 0]}
+    char = ["1/%d" % _VERIFY_GRID_CAP, "0"]
+    code, out, _ = run_cli(["cohomology"], dict(torus, character=char), monkeypatch, capsys)
+    assert code == 0 and out == {"h": [0, 0, 0]}
+
+
 def test_plain_number_laurent_coefficient(monkeypatch, capsys):
     # a 1x1 complex with the single entry t, given as {"coeff": 1}
     cplx = {"vars": 1, "matrices": [[[[{"coeff": 1, "exp": [1]}]]]]}

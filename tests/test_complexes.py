@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicloci.complexes import (
     SIZE_LIMIT_MESSAGE,
@@ -129,6 +131,92 @@ def test_modular_root_is_a_primitive_root_at_a_prime_one_mod_m():
         assert all(ell % d for d in range(2, 50000))
         assert pow(omega, m, ell) == 1
         assert all(pow(omega, k, ell) != 1 for k in range(1, m))
+
+
+# -- one mod-ell reduction per character order --------------------------------
+
+
+def _count_mod_images(monkeypatch):
+    calls = [0]
+    image = CycNumber.mod_image
+
+    def counted(self, ell, root):
+        calls[0] += 1
+        return image(self, ell, root)
+
+    monkeypatch.setattr(CycNumber, "mod_image", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, m, most",
+    [
+        # 6 orders dividing 12, 8 terms
+        (torus_complex, 12, 48),
+        # 4 orders dividing 10, 16 terms
+        (lambda: surface_complex(2), 10, 64),
+    ],
+)
+def test_a_scan_reduces_each_term_once_per_character_order(build, m, most, monkeypatch):
+    calls = _count_mod_images(monkeypatch)
+    scan_torsion(build(), 1, 2, m)
+    assert calls[0] <= most
+
+
+_RATIONALS = st.one_of(
+    st.sampled_from([F(1), F(-1), F(2), F(-1, 2), F(3, 2)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+_COEFFICIENTS = st.one_of(
+    _RATIONALS,
+    st.builds(
+        lambda a, n, q: CycNumber.root_of_unity(F(a, n)) * q,
+        st.integers(0, 5),
+        st.sampled_from([2, 3, 4, 6]),
+        _RATIONALS,
+    ),
+)
+
+
+def _laurent(data, nvars):
+    exps = st.tuples(*[st.integers(-1, 3)] * nvars)
+    if data.draw(st.booleans()):
+        # c (t^u - zeta t^w), which vanishes on a union of torsion cosets
+        u, w = data.draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+        c, zeta = data.draw(_RATIONALS), CycNumber.root_of_unity(F(data.draw(st.integers(0, 3)), 4))
+        return LaurentPoly(nvars, {u: c, w: -zeta * c})
+    terms = data.draw(st.lists(exps, min_size=1, max_size=3, unique=True))
+    return LaurentPoly(nvars, {e: data.draw(_COEFFICIENTS) for e in terms})
+
+
+def _small_complex(data):
+    nvars = data.draw(st.integers(1, 2))
+    if data.draw(st.booleans()):
+        rows, cols = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        mat = [[_laurent(data, nvars) for _ in range(cols)] for _ in range(rows)]
+        return TwistedComplex(nvars, (cols, rows), [mat])
+    # the Koszul complex of (f, g), whose composite -g f + f g vanishes
+    f, g = _laurent(data, nvars), _laurent(data, nvars)
+    return TwistedComplex(nvars, (1, 2, 1), [[[f], [g]], [[-g, f]]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_instance_answers_every_order_as_a_fresh_one_does(data):
+    # one shared complex queried across orders 1-12 in shuffled order:
+    # a reduction kept for one order must never answer for another
+    cplx = _small_complex(data)
+    chars = []
+    for n in range(1, 13):
+        if cplx.nvars == 1:
+            chars += [(F(a, n),) for a in range(n)]
+        else:
+            pick = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            chars += [(F(a, n), F(b, n)) for a, b in data.draw(st.lists(pick, min_size=1, max_size=3))]
+    for char in data.draw(st.permutations(chars)):
+        fresh = TwistedComplex(cplx.nvars, cplx.dims, cplx.mats)
+        got = specialize(cplx, char)
+        assert got == specialize_exact(fresh, char) == specialize(fresh, char), char
 
 
 # -- torsion scans ------------------------------------------------------------
