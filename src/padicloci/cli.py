@@ -208,6 +208,8 @@ def _cmd_teichmuller(doc, args):
         prec = _positive_field(doc, "prec")
     xi = _need(doc, "xi")
     coeffs = xi if isinstance(xi, list) else [xi]
+    if not coeffs:
+        raise SchemaError("xi needs at least one coefficient")
     res = ResidueElement(p, len(coeffs), [_decode("xi", _json_int, c) for c in coeffs])
     w = teichmuller(res, prec)
     out = {"p": p, "f": res.f, "value": w.to_json()}
@@ -320,7 +322,7 @@ def _cmd_fitting(doc, args):
 
 def _cmd_shape_check(doc, args):
     if "generators" in doc:
-        nvars = _int_field(doc, "vars")
+        nvars = _positive_field(doc, "vars")
         gens = [
             _decode("generators", laurent_from_json, nvars, g)
             for g in _need(doc, "generators", list)

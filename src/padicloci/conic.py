@@ -6,16 +6,7 @@ defining series restricts along an orbit to a one-variable series, the
 Strassmann machinery turns that into a finite check.
 """
 
-from .cyclotomic import CycNumber
-from .laurent import laurent_from_json
-from .padic import (
-    DomainError,
-    PadicScalar,
-    _json_int,
-    check_prime,
-    embed_root_of_unity,
-    scalar_from_json,
-)
+from .padic import DomainError, _json_int, check_prime, scalar_from_json
 from .series import (
     AnalyticSeries,
     PolyDisc,
@@ -81,81 +72,28 @@ class WeightedAction:
 # ---------------------------------------------------------------------------
 
 
-def _embed_coeff(p, c, prec):
-    """Realize a rational or root-of-unity coefficient inside Q_p."""
-    if not isinstance(c, CycNumber):
-        c = CycNumber.from_rational(c)
-    if c.is_rational():
-        return PadicScalar.from_fraction(p, c.rational_value(), prec)
-    e = c.root_of_unity_exponent()
-    if e is None:
-        raise ValueError("coefficient is neither rational nor a root of unity")
-    w = embed_root_of_unity(p, e, prec)
-    if w.f > 1:
-        raise ValueError(
-            "a root of unity of order %d does not embed in Q_%d" % (e.denominator, p)
-        )
-    return w
-
-
 class AnalyticLocus:
-    """Common zero set of finitely many series on one disc.
+    """Common zero set of finitely many series on one disc."""
 
-    polynomials, when given, carries the same equations as exact data
-    with cyclotomic coefficients; the exactness flag reports its
-    presence and the symbolic routes below require it.
-    """
+    __slots__ = ("disc", "equations")
 
-    __slots__ = ("disc", "equations", "polynomials")
-
-    def __init__(self, disc, equations, polynomials=None):
+    def __init__(self, disc, equations):
         self.disc = disc
         self.equations = tuple(equations)
         for g in self.equations:
             if g.disc != disc:
                 raise ValueError("every equation must live on the locus disc")
-        if polynomials is not None:
-            polynomials = tuple(polynomials)
-            if len(polynomials) != len(self.equations):
-                raise ValueError("one exact polynomial per equation")
-            for q in polynomials:
-                if q.nvars != disc.dim:
-                    raise ValueError("polynomial arity mismatch")
-                if any(e < 0 for exp in q.terms for e in exp):
-                    raise ValueError("negative exponents do not define disc functions")
-        self.polynomials = polynomials
-
-    @property
-    def exact(self):
-        return self.polynomials is not None
-
-    @classmethod
-    def from_polynomials(cls, disc, polys, prec):
-        """Realize exact polynomials as series, prec digits per coefficient."""
-        polys = tuple(polys)
-        series = []
-        for q in polys:
-            terms = {e: _embed_coeff(disc.p, c, prec) for e, c in q.terms.items()}
-            series.append(AnalyticSeries(disc, terms, tail_exp=None))
-        return cls(disc, series, polynomials=polys)
 
     def to_json(self):
-        doc = {
+        return {
             "disc": self.disc.to_json(),
             "equations": [g.to_json() for g in self.equations],
         }
-        if self.exact:
-            doc["polynomials"] = [q.to_json() for q in self.polynomials]
-        return doc
 
     @classmethod
     def from_json(cls, doc):
         disc = PolyDisc.from_json(doc["disc"])
-        equations = [AnalyticSeries.from_json(item) for item in doc["equations"]]
-        polys = doc.get("polynomials")
-        if polys is not None:
-            polys = [laurent_from_json(disc.dim, item) for item in polys]
-        return cls(disc, equations, polynomials=polys)
+        return cls(disc, [AnalyticSeries.from_json(item) for item in doc["equations"]])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .intlinalg import (
     unimodular_inverse,
     vec_mat,
 )
-from .laurent import LaurentPoly
 from .padic import (
     DomainError,
     PadicScalar,
@@ -48,7 +47,7 @@ from .padic import (
     exp_domain_bound,
     padic_exp,
 )
-from .series import PolyDisc
+from .series import AnalyticSeries, PolyDisc
 
 # most components solve_binomial lists
 _COMPONENT_CAP = 200000
@@ -405,11 +404,13 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
     # the translated component in logarithm coordinates is the common
     # kernel of weight-pure linear forms, so the orbit of the sample
     # tangent vector admits a conic certificate
+    disc = PolyDisc(p, d, bound)
     units = [tuple(e) for e in identity_matrix(d)]
-    polys = [
-        LaurentPoly(d, {units[i]: c for i, c in enumerate(row) if c}) for row in graded
-    ]
-    locus = AnalyticLocus.from_polynomials(PolyDisc(p, d, bound), polys, prec)
+    forms = []
+    for row in graded:
+        terms = {units[i]: PadicScalar.from_int(p, c, prec) for i, c in enumerate(row) if c}
+        forms.append(AnalyticSeries(disc, terms))
+    locus = AnalyticLocus(disc, forms)
     conic = conic_certificate(locus, action, tuple(tangent), max(action.weights))
     if not conic.get("ok"):
         raise AssertionError("conic step refused a certified subtorus")

@@ -1,11 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 Elements are rational coefficient vectors modulo the m-th cyclotomic
-polynomial, computed once by iterated exact division of x**m - 1.  Mixed
-orders are reconciled by lifting both operands into Q(zeta_lcm) along
-x -> x**(lcm/m), so values of different declared orders compare and
-combine exactly.  Everything is Fraction arithmetic; there is no floating
-point and no root-of-unity approximation anywhere.
+polynomial, computed once in integers as a product and quotient of
+binomials x**k - 1.  Mixed orders are reconciled by lifting both operands
+into Q(zeta_lcm) along x -> x**(lcm/m), so values of different declared
+orders compare and combine exactly.  Everything is Fraction arithmetic;
+there is no floating point and no root-of-unity approximation anywhere.
 
 `modular_root` and `CycNumber.mod_image` give the reduction of Z[zeta_m]
 at a prime ell = 1 (mod m): zeta_m goes to a primitive m-th root of unity
@@ -46,20 +46,31 @@ _CYC_CACHE = {1: (-1, 1)}
 
 
 def cyclotomic_poly(m):
-    """Little-endian integer coefficients of the m-th cyclotomic polynomial."""
+    """Little-endian integer coefficients of the m-th cyclotomic polynomial.
+
+    It is the product of (x**(m/d) - 1)**mu(d) over the divisors d of
+    rad(m): the factors with mu = 1 are multiplied in first, then the
+    others are divided out exactly, each in one linear pass.
+    """
     got = _CYC_CACHE.get(m)
     if got is not None:
         return got
-    num = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_poly(d)))
-            if rem:
-                raise AssertionError("cyclotomic division left a remainder; unreachable")
-    out = tuple(int(c) for c in num)
-    if any(Fraction(c) != c0 for c, c0 in zip(out, num)):
-        raise AssertionError("non-integer cyclotomic coefficient; unreachable")
-    _CYC_CACHE[m] = out
+    divisors = [(1, 1)]
+    for q in set(_prime_factors(m)):
+        divisors += [(d * q, -mu) for d, mu in divisors]
+    num = [1]
+    for d, mu in sorted(divisors, key=lambda dm: -dm[1]):
+        k = m // d
+        if mu == 1:
+            out = [0] * k + num
+            for i, c in enumerate(num):
+                out[i] -= c
+        else:
+            out = [0] * (len(num) - k)
+            for i in range(len(out)):
+                out[i] = (out[i - k] if i >= k else 0) - num[i]
+        num = out
+    _CYC_CACHE[m] = out = tuple(num)
     return out
 
 
@@ -318,9 +329,18 @@ def cyc_to_json(c):
     return {"order": c.order, "coeffs": [str(x) for x in c.coeffs]}
 
 
+# largest coefficient order a document may declare, the cap that a
+# `cohomology` character's order has too
+_ORDER_CAP = 200000
+
+
 def cyc_from_json(doc):
     if not isinstance(doc, dict):
         return CycNumber.from_rational(Fraction(doc))
-    if "root" in doc:
-        return CycNumber.root_of_unity(Fraction(doc["root"]))
-    return CycNumber(doc["order"], tuple(Fraction(x) for x in doc["coeffs"]))
+    root = Fraction(doc["root"]) if "root" in doc else None
+    order = doc["order"] if root is None else root.denominator
+    if order > _ORDER_CAP:
+        raise ValueError("coefficient order %s is over the cap of %d" % (order, _ORDER_CAP))
+    if root is not None:
+        return CycNumber.root_of_unity(root)
+    return CycNumber(order, tuple(Fraction(x) for x in doc["coeffs"]))

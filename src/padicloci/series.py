@@ -7,9 +7,7 @@ infinite).  All conclusions are certificates at a stated precision:
 zero counting refuses with PrecisionError whenever stored coefficient
 precision or the tail bound cannot justify the answer, and never guesses.
 
-Radii are p**-m with integer m >= 0; the disc flagged for exp/log input
-additionally requires m >= 1 (m >= 2 when p = 2) so that it sits inside
-the convergence region of both maps.
+Radii are p**-m with integer m >= 0.
 """
 
 from fractions import Fraction
@@ -28,17 +26,12 @@ from .padic import (
 class PolyDisc:
     __slots__ = ("p", "dim", "radius_exp", "center")
 
-    def __init__(self, p, dim, radius_exp, center=None, exp_domain=False):
+    def __init__(self, p, dim, radius_exp, center=None):
         check_prime(p)
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         if radius_exp < 0:
             raise ValueError("radius exponent must be >= 0 (radius <= 1)")
-        if exp_domain and radius_exp < exp_domain_bound(p):
-            raise DomainError(
-                "exp/log disc needs radius exponent >= %d at p = %d"
-                % (exp_domain_bound(p), p)
-            )
         if center is not None:
             center = tuple(center)
             if len(center) != dim:
@@ -91,15 +84,6 @@ class PolyDisc:
         return cls(*(_json_int(doc[k]) for k in ("p", "dim", "radius_exp")), center)
 
 
-def _min_or_none(a, b):
-    # None plays the role of +infinity for tail exponents
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class AnalyticSeries:
     __slots__ = ("disc", "terms", "tail_exp")
 
@@ -116,14 +100,6 @@ class AnalyticSeries:
         self.terms = clean
         self.tail_exp = tail_exp
 
-    @classmethod
-    def zero(cls, disc):
-        return cls(disc, {})
-
-    @classmethod
-    def constant(cls, disc, c):
-        return cls(disc, {(0,) * disc.dim: c})
-
     def is_polynomial(self):
         return self.tail_exp is None
 
@@ -138,64 +114,6 @@ class AnalyticSeries:
             weight = m * sum(exp)
             out.append((exp, coeff, coeff.norm_exponent() + weight, coeff.valuation is not None))
         return out
-
-    def sup_bound_exp(self):
-        """e with sup-norm of the stored part <= p**-e; None when no terms."""
-        best = None
-        for _, _, val, _ in self._term_entries():
-            best = val if best is None else min(best, val)
-        return best
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check_compat(self, other):
-        if self.disc != other.disc:
-            raise ValueError("series live on different discs")
-
-    def __add__(self, other):
-        if not isinstance(other, AnalyticSeries):
-            return NotImplemented
-        self._check_compat(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            got = out.get(exp)
-            out[exp] = c if got is None else got + c
-        return AnalyticSeries(self.disc, out, _min_or_none(self.tail_exp, other.tail_exp))
-
-    def __neg__(self):
-        return AnalyticSeries(self.disc, {e: -c for e, c in self.terms.items()}, self.tail_exp)
-
-    def __sub__(self, other):
-        if not isinstance(other, AnalyticSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, AnalyticSeries):
-            return NotImplemented
-        self._check_compat(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                got = out.get(exp)
-                out[exp] = c if got is None else got + c
-        # omitted content of the product: stored*tail cross terms plus
-        # tail*tail, each bounded through the multiplicative Gauss norm
-        tail = None
-        if other.tail_exp is not None:
-            mine = self.sup_bound_exp()
-            tail = _min_or_none(tail, None if mine is None else mine + other.tail_exp)
-        if self.tail_exp is not None:
-            theirs = other.sup_bound_exp()
-            tail = _min_or_none(tail, None if theirs is None else theirs + self.tail_exp)
-        if self.tail_exp is not None and other.tail_exp is not None:
-            tail = _min_or_none(tail, self.tail_exp + other.tail_exp)
-        return AnalyticSeries(self.disc, out, tail)
-
-    def scale(self, c):
-        return AnalyticSeries(self.disc, {e: v * c for e, v in self.terms.items()}, self.tail_exp)
 
     # -- evaluation -----------------------------------------------------------
 

@@ -17,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from padicloci.conic import AnalyticLocus, WeightedAction, conic_certificate
+from padicloci.conic import WeightedAction, conic_certificate
 from padicloci.cosets import (
     BinomialSystem,
     sigma_stable,
@@ -52,6 +52,8 @@ from padicloci.series import (
     newton_polygon,
     strassmann_count,
 )
+
+from rational_loci import rational_locus
 
 F = Fraction
 
@@ -209,7 +211,7 @@ def test_criterion_4_conic_certificates(criterion):
         weights = tuple(rng.randrange(1, 4) for _ in range(d))
         e1, e2 = random_exponents(d, weights, True)
         q = LaurentPoly.monomial(d, e1) - LaurentPoly.monomial(d, e2)
-        S = AnalyticLocus.from_polynomials(PolyDisc(p, d, 0), [q], prec)
+        S = rational_locus(PolyDisc(p, d, 0), [q], prec)
         action = WeightedAction(p, weights, alpha)
         x = _point_on_binomial(p, e1, e2, prec)
         res = conic_certificate(S, action, x, max(weights) * 4)
@@ -220,7 +222,7 @@ def test_criterion_4_conic_certificates(criterion):
         weights = tuple(rng.randrange(1, 4) for _ in range(d))
         e1, e2 = random_exponents(d, weights, False)
         q = LaurentPoly.monomial(d, e1) - LaurentPoly.monomial(d, e2)
-        S = AnalyticLocus.from_polynomials(PolyDisc(p, d, 0), [q], prec)
+        S = rational_locus(PolyDisc(p, d, 0), [q], prec)
         action = WeightedAction(p, weights, alpha)
         x = _point_on_binomial(p, e1, e2, prec)
         bound = max(

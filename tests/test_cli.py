@@ -340,12 +340,13 @@ def test_verify_counts(monkeypatch, capsys):
 def certified_conic(monkeypatch, capsys):
     """A verify kind=conic document for the graph y = x^2, with the
     certificate that conic-check issued for it."""
-    from padicloci.conic import AnalyticLocus
+    from rational_loci import rational_locus
+
     from padicloci.laurent import LaurentPoly
     from padicloci.series import PolyDisc
 
     graph = LaurentPoly.variable(2, 1) - LaurentPoly.variable(2, 0, 2)
-    locus = AnalyticLocus.from_polynomials(PolyDisc(5, 2, 0), [graph], 24)
+    locus = rational_locus(PolyDisc(5, 2, 0), [graph], 24)
     c = PadicScalar.from_int(5, 2, 24)
     doc = {
         "locus": locus.to_json(),
@@ -650,10 +651,13 @@ def test_non_objects_and_non_primes_exit_two(cmd, doc, monkeypatch, capsys, time
         ("teichmuller", {"p": 5, "xi": 2, "prec": 0}, "prec"),
         ("exp", {"p": 5, "x": 5, "precision": 0}, "precision"),
         ("log", {"p": 5, "x": 6, "precision": -1}, "precision"),
+        ("shape-check", {"vars": 0, "generators": []}, "vars"),
+        ("shape-check", {"vars": -2, "generators": []}, "vars"),
     ],
 )
-def test_out_of_range_numbers_exit_two(cmd, doc, field, monkeypatch, capsys):
-    code, out, err = run_cli([cmd], doc, monkeypatch, capsys)
+def test_out_of_range_numbers_exit_two(cmd, doc, field, monkeypatch, capsys, time_budget):
+    with time_budget(2):
+        code, out, err = run_cli([cmd], doc, monkeypatch, capsys)
     assert code == 2 and out is None
     assert "'%s' must be >= 1" % field in err
 
@@ -829,6 +833,59 @@ def test_cohomology_takes_a_character_order_at_the_cap(monkeypatch, capsys):
     char = ["1/%d" % _VERIFY_GRID_CAP, "0"]
     code, out, _ = run_cli(["cohomology"], dict(torus, character=char), monkeypatch, capsys)
     assert code == 0 and out == {"h": [0, 0, 0]}
+
+
+def test_cohomology_at_a_highly_composite_order_is_quick(monkeypatch, capsys, time_budget):
+    # t1 - 1 vanishes at (0, 1/2520), so both groups survive; the
+    # character's values live in Q(zeta_2520), which needs Phi_2520
+    entry = [{"coeff": "1", "exp": [1, 0]}, {"coeff": "-1", "exp": [0, 0]}]
+    doc = {
+        "complex": {"vars": 2, "dims": [1, 1], "matrices": [[[entry]]]},
+        "character": ["0", "1/2520"],
+    }
+    with time_budget(2):
+        code, out, _ = run_cli(["cohomology"], doc, monkeypatch, capsys)
+    assert code == 0 and out == {"h": [1, 1]}
+
+
+def _root_minus_t(coeff):
+    """The 1x1 complex [[c - t]] in one variable."""
+    entry = [{"coeff": coeff, "exp": [0]}, {"coeff": "-1", "exp": [1]}]
+    return {"vars": 1, "dims": [1, 1], "matrices": [[[entry]]]}
+
+
+BIG_ORDER = 18446744073709551629
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [{"root": "1/%d" % BIG_ORDER}, {"order": BIG_ORDER, "coeffs": ["0", "1"]}],
+    ids=["root", "order"],
+)
+@pytest.mark.parametrize("cmd", ["cohomology", "jumping-scan"])
+def test_a_coefficient_order_over_the_cap_exits_two(cmd, coeff, monkeypatch, capsys, time_budget):
+    doc = {"complex": _root_minus_t(coeff), "character": ["0"], "i": 1, "j": 0}
+    with time_budget(2):
+        code, out, err = run_cli([cmd], doc, monkeypatch, capsys)
+    assert code == 2 and out is None
+    assert "coefficient order %d is over the cap of 200000" % BIG_ORDER in err
+
+
+@pytest.mark.parametrize(
+    "coeff", [{"root": "1/200000"}, {"order": 200000, "coeffs": ["0", "1"]}], ids=["root", "order"]
+)
+def test_a_coefficient_order_at_the_cap_is_decoded(coeff, monkeypatch, capsys, time_budget):
+    doc = {"complex": _root_minus_t(coeff), "character": ["0"]}
+    with time_budget(2):
+        code, out, _ = run_cli(["cohomology"], doc, monkeypatch, capsys)
+    assert code == 0 and out == {"h": [0, 0]}
+
+
+def test_teichmuller_of_no_residue_coefficient_exits_two(monkeypatch, capsys, time_budget):
+    with time_budget(2):
+        code, out, err = run_cli(["teichmuller"], {"p": 5, "xi": [], "prec": 4}, monkeypatch, capsys)
+    assert code == 2 and out is None
+    assert err == "padicloci: xi needs at least one coefficient\n"
 
 
 def test_plain_number_laurent_coefficient(monkeypatch, capsys):

@@ -8,6 +8,8 @@ from padicloci.laurent import LaurentPoly
 from padicloci.padic import DomainError, PadicScalar, coset_eq
 from padicloci.series import PolyDisc
 
+from rational_loci import rational_locus
+
 P = 5
 PREC = 16
 
@@ -17,7 +19,7 @@ def action(weights=(1, 2), p=P, prec=PREC):
 
 
 def locus(polys, dim=2, radius_exp=0, p=P, prec=PREC):
-    return AnalyticLocus.from_polynomials(PolyDisc(p, dim, radius_exp), polys, prec)
+    return rational_locus(PolyDisc(p, dim, radius_exp), polys, prec)
 
 
 def x_var(i, dim=2, power=1):
@@ -53,13 +55,11 @@ def test_weighted_action_rejects_bad_generators():
 
 def test_locus_construction_and_json():
     S = locus([GRAPH])
-    assert S.exact
     back = AnalyticLocus.from_json(S.to_json())
-    assert back.exact and back.disc == S.disc
-    assert back.polynomials == S.polynomials
-    loose = AnalyticLocus(S.disc, S.equations)
-    assert not loose.exact
-    assert not AnalyticLocus.from_json(loose.to_json()).exact
+    assert back.disc == S.disc
+    assert [g.terms for g in back.equations] == [g.terms for g in S.equations]
+    with pytest.raises(ValueError):
+        AnalyticLocus(PolyDisc(P, 2, 1), S.equations)
 
 
 def test_weighted_homogeneous_scaling_identity_sampled():

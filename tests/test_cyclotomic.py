@@ -28,6 +28,41 @@ def test_cyclotomic_polynomials_pinned():
     assert tuple(cyclotomic_poly(12)) == (1, 0, -1, 0, 1)
 
 
+_DIVIDED = {1: (-1, 1)}
+
+
+def divided_cyclotomic(m):
+    """Phi_m the slow way: x**m - 1 divided exactly by Phi_d for every
+    proper divisor d of m, recursively (every Phi_d is monic)."""
+    if m not in _DIVIDED:
+        num = [-1] + [0] * (m - 1) + [1]
+        for d in range(1, m):
+            if m % d == 0:
+                b = divided_cyclotomic(d)
+                quo = [0] * (len(num) - len(b) + 1)
+                for i in range(len(quo) - 1, -1, -1):
+                    quo[i] = c = num[i + len(b) - 1]
+                    for j, bj in enumerate(b):
+                        num[i + j] -= c * bj
+                assert not any(num)
+                num = quo
+        _DIVIDED[m] = tuple(num)
+    return _DIVIDED[m]
+
+
+def test_cyclotomic_polynomials_match_recursive_division():
+    for m in range(1, 400):
+        assert cyclotomic_poly(m) == divided_cyclotomic(m), m
+
+
+def test_a_highly_composite_order_is_quick(time_budget):
+    # Phi_5040 has degree phi(5040) = 1152 and, 5040 not being a prime
+    # power, the value 1 at x = 1
+    with time_budget(1):
+        phi = cyclotomic_poly(5040)
+    assert len(phi) == 1153 and phi[-1] == 1 and sum(phi) == 1
+
+
 def test_cyclotomic_product_identity():
     # prod over d | n of Phi_d = x^n - 1
     for n in (6, 8, 12):

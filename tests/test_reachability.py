@@ -8,10 +8,16 @@ body then becomes reached code.  Import statements bind names without
 using them, so they reach nothing, and the re-exports in `__init__.py`
 are the library surface rather than a use.  Methods are outside the
 walk: a reached class brings in every method it has.
+
+The same import walk checks the layering: the p-adic certificate layer
+(`series`, `conic`, `cosets`) reaches neither cyclotomic fields nor
+Laurent polynomials.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import padicloci
 
@@ -33,10 +39,11 @@ def _package_imports(tree):
                 yield from (alias.name for alias in node.names)
 
 
-def runtime_modules():
-    """Parsed tree of every package module the CLI imports, by name."""
+def runtime_modules(root="cli"):
+    """Parsed tree of root and of every package module it imports,
+    directly or through other package modules, by name."""
     trees = {}
-    todo = ["cli"]
+    todo = [root]
     while todo:
         module = todo.pop()
         if module not in trees:
@@ -91,3 +98,8 @@ def test_the_walk_follows_the_cli_imports():
 
 def test_every_top_level_definition_is_reached_from_the_cli():
     assert unreached_definitions() == []
+
+
+@pytest.mark.parametrize("module", ["series", "conic", "cosets"])
+def test_the_padic_layer_imports_no_exact_field(module):
+    assert not {"cyclotomic", "laurent"} & set(runtime_modules(module))
