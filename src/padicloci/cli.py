@@ -123,11 +123,12 @@ def _automorphism_in(doc, dim):
 
 
 def _decode(what, fn, *args):
-    """fn(*args), with the decoders' KeyError/TypeError/ValueError (and
-    the AttributeError of a non-object sub-document) as a schema error."""
+    """fn(*args), with the decoders' KeyError/TypeError/ValueError, the
+    AttributeError of a non-object sub-document and the
+    ZeroDivisionError of a number such as "1/0" as a schema error."""
     try:
         return fn(*args)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise SchemaError("bad %s: %s" % (what, e))
 
 

@@ -2,10 +2,14 @@
 
 A complex here is a chain of free modules over the Laurent ring
 Z[t_1^(+-1) ... t_d^(+-1)] with differentials given by matrices whose
-composites vanish identically.  Specializing the variables at a
-torsion character lands every entry in an exact cyclotomic field
-Q(zeta_L), with L the lcm of the character's denominators and of the
-coefficient orders, and twisted Betti numbers follow from the ranks.
+composites vanish identically.  A torsion character is carried as
+integer numerators a at an order m, the point a / m of the character
+torus, the same form `cosets` gives torsion points; Q/Z values are
+read at order 1 and turned into that form once.  Specializing the
+variables at the character lands every entry in an exact cyclotomic
+field Q(zeta_L), with L the lcm of the character's exact order and of
+the coefficient orders, and twisted Betti numbers follow from the
+ranks.
 
 Those ranks are first bounded over a finite field.  Sending zeta_L to
 a primitive L-th root of unity in F_ell, ell = 1 (mod L) prime, is a
@@ -14,11 +18,12 @@ ell is a lower bound for the true rank.  Because D^(k+1) D^k = 0, the
 true rank of D^k is at most u_k = min(dims[k] - r_(k-1),
 dims[k+1] - r_(k+1)).  When r_k = u_k for every k the ranks are
 proved; otherwise, or when ell divides a coefficient denominator, the
-exact fraction-free elimination over the cyclotomic field decides.
-The choice of ell and the image of every coefficient depend on the
-character's order only, so that reduction is built once per order and
-kept on the complex; each character then only sums powers of one root.
-Nothing is rounded on either path.  On top of that sit full torsion
+exact fraction-free elimination over the cyclotomic field decides;
+it evaluates each cell in one pass, in the least cyclotomic field
+that holds the cell's value.  The choice of ell and the image of every
+coefficient depend on the character's order only, so that reduction
+is built once per order and kept on the complex; each character then
+only sums powers of one root.  Nothing is rounded on either path.  On top of that sit full torsion
 scans of the jumping condition h^i > j, determinantal generators for
 the same condition, and a shape test that recognizes when those
 generators cut out a union of torsion cosets.
@@ -26,7 +31,7 @@ generators cut out a union of torsion cosets.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .cosets import BinomialSystem, solve_binomial
@@ -116,11 +121,17 @@ class TwistedComplex:
 # ---------------------------------------------------------------------------
 
 
-def _char_values(char, nvars):
-    vals = tuple(Fraction(x) % 1 for x in char)
-    if len(vals) != nvars:
+def _torsion_char(char, nvars, order):
+    """(a, m) with the character the point a / m: Q/Z values read at
+    order 1 (m the lcm of their denominators), integer numerators a at
+    any other order, as `TorsionCoset.contains` reads a point."""
+    if len(char) != nvars:
         raise ValueError("character arity mismatch")
-    return vals
+    if order != 1:
+        return char, order
+    vals = [Fraction(x) for x in char]
+    m = lcm(*(q.denominator for q in vals))
+    return [q.numerator * (m // q.denominator) for q in vals], m
 
 
 def _betti(dims, ranks):
@@ -155,24 +166,28 @@ def _reduction(cplx, den):
     return out
 
 
-def _modular_ranks(cplx, vals):
-    """Ranks of the differentials proved by reduction mod a prime, or None.
+def _modular_ranks(cplx, a, m):
+    """Ranks of the differentials at the character a / m proved by
+    reduction mod a prime, or None.
 
     The ranks over F_ell are lower bounds; they are returned only when
     each meets the upper bound that the neighbouring ranks impose
-    through D^(k+1) D^k = 0.
+    through D^(k+1) D^k = 0.  The reduction is the one for the
+    character's exact order m / gcd(m, a), however a / m is written.
     """
-    red = _reduction(cplx, lcm(*(q.denominator for q in vals)))
+    g = gcd(m, *a)
+    den = m // g
+    red = _reduction(cplx, den)
     if red is None:
         return None
     big, ell, omega, mats = red
-    point = [q.numerator * (big // q.denominator) for q in vals]
+    point = [x // g * (big // den) for x in a]
     ranks = []
-    for m in mats:
+    for mat in mats:
         rows = [
             [sum(img * pow(omega, sum(map(mul, exp, point)) % big, ell) for exp, img in e) % ell
              for e in row]
-            for row in m
+            for row in mat
         ]
         ranks.append(rank_mod_prime(rows, ell))
     dims = cplx.dims
@@ -184,24 +199,52 @@ def _modular_ranks(cplx, vals):
     return ranks
 
 
-def specialize_exact(cplx, char):
+def _cell_value(e, a, m):
+    """The Laurent polynomial e at the character a / m, in one pass.
+
+    Each term c t^v sends c to zeta_n^(<v, a> n / m) c, with n the lcm
+    over the terms of the coefficient orders and the orders of their
+    roots, the least order that holds the value; the shifted
+    coefficients add up in one vector of length n, reduced once.
+    """
+    terms = []
+    n = 1
+    for v, c in e.terms.items():
+        r = sum(map(mul, v, a)) % m
+        n = lcm(n, c.order, m // gcd(r, m))
+        terms.append((r, c))
+    vec = [0] * n
+    for r, c in terms:
+        shift = r * n // m
+        step = n // c.order
+        for i, x in enumerate(c.coeffs):
+            if x:
+                vec[(shift + i * step) % n] += x
+    return CycNumber(n, vec)
+
+
+def specialize_exact(cplx, char, order=1):
     """Twisted Betti numbers by exact elimination over the cyclotomic field.
 
-    Each variable is sent to the exact root of unity the character
-    assigns it and ranks are computed by division-free elimination over
-    Q(zeta_L), so h^i = dim ker D^i - rank D^(i-1) comes out exact.
+    The character is read as in `specialize`.  Each cell is evaluated
+    in the least cyclotomic field that holds its value and ranks are
+    computed by division-free elimination, so h^i = dim ker D^i -
+    rank D^(i-1) comes out exact.
     """
-    vals = _char_values(char, cplx.nvars)
-    point = [CycNumber.root_of_unity(q) for q in vals]
+    a, m = _torsion_char(char, cplx.nvars, order)
     ranks = []
-    for m in cplx.mats:
-        rows = [[e.evaluate(point) for e in row] for row in m]
+    for mat in cplx.mats:
+        rows = [[_cell_value(e, a, m) for e in row] for row in mat]
         ranks.append(rank_division_free(rows))
     return _betti(cplx.dims, ranks)
 
 
-def specialize(cplx, char):
+def specialize(cplx, char, order=1):
     """Twisted Betti numbers of the complex at one torsion character.
+
+    At order 1 the character is its Q/Z values (Fractions or strings);
+    at any other order it is the integer numerators a of the point
+    a / order, reduced or not.
 
     The ranks of the differentials are computed over F_ell at a prime
     ell = 1 (mod L) first.  Each is a lower bound for the true rank,
@@ -212,10 +255,10 @@ def specialize(cplx, char):
     builtin complexes that happens at the trivial character only, where
     every differential vanishes and the upper bounds stay above 0.
     """
-    vals = _char_values(char, cplx.nvars)
-    ranks = _modular_ranks(cplx, vals)
+    a, m = _torsion_char(char, cplx.nvars, order)
+    ranks = _modular_ranks(cplx, a, m)
     if ranks is None:
-        return specialize_exact(cplx, vals)
+        return specialize_exact(cplx, a, m)
     return _betti(cplx.dims, ranks)
 
 
@@ -244,9 +287,12 @@ class JumpingLocusSample:
 def scan_torsion(cplx, i, j, order_bound):
     """Scan every character of order dividing the bound for h^i > j.
 
-    The loop asserts the Euler characteristic of each specialization
-    against the alternating sum of module ranks, and every collected
-    hit is specialized a second time before it is reported.
+    The characters are the integer numerators a in [0, m)^d at the
+    bound m, walked in lexicographic order, which is the order of the
+    points a / m; only the reported hits become Fractions.  The loop
+    asserts the Euler characteristic of each specialization against
+    the alternating sum of module ranks, and every collected hit is
+    specialized a second time before it is reported.
     """
     m = int(order_bound)
     if m < 1:
@@ -256,18 +302,17 @@ def scan_torsion(cplx, i, j, order_bound):
     euler = sum((-1) ** k * r for k, r in enumerate(cplx.dims))
     hits = []
     scanned = 0
-    fracs = [Fraction(a, m) for a in range(m)]
-    for char in product(fracs, repeat=cplx.nvars):
-        h = specialize(cplx, char)
+    for a in product(range(m), repeat=cplx.nvars):
+        h = specialize(cplx, a, m)
         if sum((-1) ** k * x for k, x in enumerate(h)) != euler:
             raise AssertionError("Euler characteristic drifted during the scan")
         scanned += 1
         if h[i] > j:
-            hits.append(char)
-    hits.sort()
-    for char in hits:
-        if specialize(cplx, char)[i] <= j:
+            hits.append(a)
+    for a in hits:
+        if specialize(cplx, a, m)[i] <= j:
             raise AssertionError("scan hit failed re-verification")
+    hits = [tuple(Fraction(x, m) for x in a) for a in hits]
     return JumpingLocusSample(i, j, m, hits, scanned)
 
 

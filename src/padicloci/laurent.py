@@ -2,8 +2,9 @@
 
 Terms map integer exponent vectors (negative entries allowed) to nonzero
 CycNumber coefficients.  The zero polynomial is the empty term dict.
-Arithmetic is exact; evaluation substitutes invertible field values, so
-negative exponents are fine.
+Arithmetic is exact.  `complexes` evaluates entries at torsion
+characters, where every variable is a root of unity, so negative
+exponents are fine.
 """
 
 from fractions import Fraction
@@ -127,19 +128,6 @@ class LaurentPoly:
 
     def scale(self, c):
         return LaurentPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
-
-    def evaluate(self, point):
-        """Value at invertible field elements (CycNumber coordinates)."""
-        if len(point) != self.nvars:
-            raise ValueError("point arity mismatch")
-        total = CycNumber.from_rational(0)
-        for exp, c in self.terms.items():
-            val = c
-            for x, e in zip(point, exp):
-                if e:
-                    val = val * x ** e
-            total = total + val
-        return total
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])

@@ -1,0 +1,57 @@
+"""Slow references for twisted cohomology at torsion characters.
+
+They are the library's earlier routes, kept as oracles.  `evaluate`
+substitutes CycNumber values into a Laurent polynomial one term at a
+time, a power and a product per variable, each reduced on its own.
+`specialize_exact_reference` sends every variable to
+`CycNumber.root_of_unity` of its Q/Z value and evaluates each cell that
+way before the exact rank.  `scan_reference` walks the grid of Fraction
+characters a/m, specializes each in Q/Z form and sorts the hits.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+from padicloci.complexes import JumpingLocusSample, specialize
+from padicloci.cyclotomic import CycNumber
+from padicloci.linalg import rank_division_free
+
+
+def evaluate(poly, point):
+    """Value of poly at invertible field elements (CycNumber coordinates)."""
+    if len(point) != poly.nvars:
+        raise ValueError("point arity mismatch")
+    total = CycNumber.from_rational(0)
+    for exp, c in poly.terms.items():
+        val = c
+        for x, e in zip(point, exp):
+            if e:
+                val = val * x ** e
+        total = total + val
+    return total
+
+
+def specialize_exact_reference(cplx, char):
+    """Betti numbers at the Q/Z character char by exact elimination."""
+    vals = tuple(Fraction(x) % 1 for x in char)
+    if len(vals) != cplx.nvars:
+        raise ValueError("character arity mismatch")
+    point = [CycNumber.root_of_unity(q) for q in vals]
+    ranks = [rank_division_free([[evaluate(e, point) for e in row] for row in m]) for m in cplx.mats]
+    ranks.append(0)
+    return tuple(r - ranks[k] - ranks[k - 1] for k, r in enumerate(cplx.dims))
+
+
+def scan_reference(cplx, i, j, order_bound):
+    """scan_torsion over the grid of Fraction characters."""
+    m = order_bound
+    hits = []
+    scanned = 0
+    fracs = [Fraction(a, m) for a in range(m)]
+    for char in product(fracs, repeat=cplx.nvars):
+        h = specialize(cplx, char)
+        scanned += 1
+        if h[i] > j:
+            hits.append(char)
+    hits.sort()
+    return JumpingLocusSample(i, j, m, hits, scanned)

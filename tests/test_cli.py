@@ -881,6 +881,45 @@ def test_a_coefficient_order_at_the_cap_is_decoded(coeff, monkeypatch, capsys, t
     assert code == 0 and out == {"h": [0, 0]}
 
 
+@pytest.mark.parametrize(
+    "cmd, doc",
+    [
+        ("cohomology", {"complex": _root_minus_t("1/0"), "character": ["0"]}),
+        ("cohomology", {"complex": _root_minus_t({"root": "1/0"}), "character": ["0"]}),
+        ("shape-check", {"vars": 1, "generators": [[{"coeff": "1/0", "exp": [1]}]]}),
+    ],
+    ids=["cohomology-coeff", "cohomology-root", "shape-check-generator"],
+)
+def test_a_zero_denominator_exits_two(cmd, doc, monkeypatch, capsys, time_budget):
+    with time_budget(2):
+        code, out, err = run_cli([cmd], doc, monkeypatch, capsys)
+    assert code == 2 and out is None
+    assert err.startswith("padicloci: bad ")
+
+
+def test_a_root_coefficient_near_the_cap_at_its_own_root_is_quick(monkeypatch, capsys, time_budget):
+    # zeta_199999 - t vanishes at 1/199999, so the exact path decides
+    doc = {"complex": _root_minus_t({"root": "1/199999"}), "character": ["1/199999"]}
+    with time_budget(2):
+        code, out, _ = run_cli(["cohomology"], doc, monkeypatch, capsys)
+    assert code == 0 and out == {"h": [1, 1]}
+
+
+def test_exact_cells_are_evaluated_in_their_own_field_not_the_characters(
+    monkeypatch, capsys, time_budget
+):
+    # every t1 - 1 is 0 at (0, 1/199999), which needs no root of order
+    # 199999; lifting each cell to the character's order takes far longer
+    entry = [{"coeff": "1", "exp": [1, 0]}, {"coeff": "-1", "exp": [0, 0]}]
+    doc = {
+        "complex": {"vars": 2, "dims": [1, 3], "matrices": [[[entry], [entry], [entry]]]},
+        "character": ["0", "1/199999"],
+    }
+    with time_budget(0.5):
+        code, out, _ = run_cli(["cohomology"], doc, monkeypatch, capsys)
+    assert code == 0 and out == {"h": [1, 3]}
+
+
 def test_teichmuller_of_no_residue_coefficient_exits_two(monkeypatch, capsys, time_budget):
     with time_budget(2):
         code, out, err = run_cli(["teichmuller"], {"p": 5, "xi": [], "prec": 4}, monkeypatch, capsys)

@@ -2,8 +2,8 @@
 
 Every single mutation of a small seed document runs through `cli.main`
 in-process: at every JSON path (following at most the first three items
-of each list) the value becomes 1.5, true, "x", null, [v], {"a": v}, -1
-or 0, or its key is dropped.  Each run must end in exit 0, 1 or 2 with
+of each list) the value becomes 1.5, true, "x", "1/0", null, [v],
+{"a": v}, -1 or 0, or its key is dropped.  Each run must end in exit 0, 1 or 2 with
 no escaping exception, inside a 2 s budget.  The enumeration is
 deterministic.  No number is huge: working precision has no cap yet.
 """
@@ -117,7 +117,7 @@ _SENTINEL = object()
 def mutants(node):
     """Every single mutation of node, in a fixed order; _SENTINEL stands
     for a dropped key."""
-    yield from [1.5, True, "x", None, [node], {"a": node}, -1, 0]
+    yield from [1.5, True, "x", "1/0", None, [node], {"a": node}, -1, 0]
     if isinstance(node, dict):
         for key, child in node.items():
             for new in [_SENTINEL, *mutants(child)]:

