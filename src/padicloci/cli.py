@@ -63,10 +63,16 @@ INPUT_FREE = {"demo"}
 # largest character grid a scan or a verification may walk, and so the
 # largest character order `cohomology` takes (a one-variable scan's)
 _VERIFY_GRID_CAP = 200000
+# most character variables a builtin complex may have (wedge n, surface 2 * genus)
+_BUILTIN_VARS_CAP = 256
 
 
 class SchemaError(Exception):
     """Input document fails the command schema."""
+
+
+class Refusal(Exception):
+    """An explicit refusal: exit 1 with {"refusal": message}."""
 
 
 def _need(doc, key, kinds=None):
@@ -179,9 +185,15 @@ def _builtin_complex(c):
     if name == "torus":
         return torus_complex()
     if name == "wedge":
-        return wedge_complex(_int_field(c, "n"))
+        n = _int_field(c, "n")
+        if n > _BUILTIN_VARS_CAP:
+            raise Refusal(SIZE_LIMIT_MESSAGE)
+        return wedge_complex(n)
     if name == "surface":
-        return surface_complex(_int_field(c, "genus"))
+        g = _int_field(c, "genus")
+        if 2 * g > _BUILTIN_VARS_CAP:
+            raise Refusal(SIZE_LIMIT_MESSAGE)
+        return surface_complex(g)
     raise SchemaError("unknown builtin complex '%s'" % name)
 
 
@@ -643,6 +655,8 @@ def main(argv=None):
     except SchemaError as e:
         print("padicloci: %s" % e, file=sys.stderr)
         return 2
+    except Refusal as e:
+        code, out = 1, {"refusal": str(e)}
     except (ArithmeticError, ValueError) as e:
         print("padicloci: %s" % e, file=sys.stderr)
         return 1

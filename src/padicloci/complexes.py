@@ -30,6 +30,7 @@ generators cut out a union of torsion cosets.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
@@ -142,13 +143,20 @@ def _betti(dims, ranks):
     return tuple(out)
 
 
+# more than any scan order under the grid cap has divisors (160 at most)
+_REDUCTIONS_KEPT = 256
+
+
 def _reduction(cplx, den):
     """(big, ell, omega, mats) for the characters of order den, or None
     where the exact path decides: big is the lcm of den and the
     coefficient orders, (ell, omega) = modular_root(big), and each cell
-    of mats lists its terms as (exponent, image mod ell)."""
+    of mats lists its terms as (exponent, image mod ell).  The complex
+    keeps the last _REDUCTIONS_KEPT orders' reductions."""
     if den in cplx._reductions:
         return cplx._reductions[den]
+    if len(cplx._reductions) >= _REDUCTIONS_KEPT:
+        del cplx._reductions[next(iter(cplx._reductions))]
     coeffs = [c for m in cplx.mats for row in m for e in row for c in e.terms.values()]
     big = lcm(den, *(c.order for c in coeffs))
     got = modular_root(big)
@@ -476,6 +484,11 @@ def shape_check(generators, nvars=None, scan=None):
 # built-in complexes
 # ---------------------------------------------------------------------------
 
+# Each builder returns one shared instance per parameter, so the
+# per-order reductions it fills serve every later caller; the
+# instances must be treated as immutable.
+_builtin = lru_cache(maxsize=4)
+
 
 def _var(d, i):
     return LaurentPoly.variable(d, i)
@@ -485,11 +498,13 @@ def _one(d):
     return LaurentPoly.constant(d, 1)
 
 
+@_builtin
 def circle_complex():
     t = _var(1, 0)
     return TwistedComplex(1, (1, 1), [[[t - _one(1)]]])
 
 
+@_builtin
 def torus_complex():
     t1, t2 = _var(2, 0), _var(2, 1)
     one = _one(2)
@@ -498,6 +513,7 @@ def torus_complex():
     return TwistedComplex(2, (1, 2, 1), [d0, d1])
 
 
+@_builtin
 def wedge_complex(n):
     n = int(n)
     if n < 1:
@@ -506,6 +522,7 @@ def wedge_complex(n):
     return TwistedComplex(n, (1, n), [d0])
 
 
+@_builtin
 def surface_complex(g):
     """Standard one-relator presentation of the genus-g surface group.
 

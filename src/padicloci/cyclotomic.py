@@ -276,15 +276,6 @@ class CycNumber:
                 base = base * base
         return result
 
-    def conj_power(self, k):
-        """Galois twist zeta -> zeta**k; k must be prime to the order."""
-        if math.gcd(k, self.order) != 1:
-            raise ValueError("conjugation exponent must be prime to the order")
-        out = [Fraction(0)] * self.order
-        for i, a in enumerate(self.coeffs):
-            out[i * k % self.order] = a
-        return CycNumber(self.order, out)
-
     def root_of_unity_exponent(self):
         """Fraction e with self = zeta**e reduced mod 1, or None.
 

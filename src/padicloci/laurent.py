@@ -43,10 +43,6 @@ class LaurentPoly:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def monomial(cls, nvars, exp, c=1):
-        return cls(nvars, {tuple(exp): c})
-
-    @classmethod
     def variable(cls, nvars, i, power=1):
         exp = [0] * nvars
         exp[i] = power

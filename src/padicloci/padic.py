@@ -430,23 +430,7 @@ class UnramifiedScalar:
         m = x.zprec if x.v is None else x.M
         return cls._new(x.p, f, x.v, x.coeff + (0,) * (f - 1), m)
 
-    @classmethod
-    def from_residue(cls, xi, rel_prec):
-        if xi.is_zero():
-            raise ValueError("no unit lift of residue zero")
-        return cls(xi.p, xi.f, 0, xi.coeffs, rel_prec)
-
-    def to_padic(self):
-        if any(self.coeff[1:]):
-            raise ValueError("element does not lie in Q_p")
-        m = self.zprec if self.v is None else self.M
-        return PadicScalar._new(self.p, 1, self.v, self.coeff[:1], m)
-
     # -- queries -----------------------------------------------------------
-
-    @property
-    def is_zero_coset(self):
-        return self.v is None
 
     @property
     def abs_prec(self):
@@ -474,17 +458,6 @@ class UnramifiedScalar:
         raise PrecisionError(
             "zero to precision %d cannot be tested at threshold %d" % (self.zprec, tau)
         )
-
-    def coefficients(self):
-        """Coordinates as PadicScalar values over the power basis."""
-        out = []
-        for c in self.coeff:
-            if c == 0:
-                out.append(PadicScalar.zero_at(self.p, self.abs_prec))
-            else:
-                vc, uc = int_valuation(c, self.p)
-                out.append(PadicScalar(self.p, self.v + vc, uc, self.M - vc))
-        return tuple(out)
 
     def residue(self):
         """Image in the residue field F_{p^f}; requires v >= 0."""
@@ -722,30 +695,76 @@ class PadicScalar(UnramifiedScalar):
             return Fraction((self.p ** self.v * self.u) % self.p ** self.abs_prec)
         return Fraction(self.u, self.p ** (-self.v))
 
-    def rep_int(self):
-        r = self.rep()
-        if r.denominator != 1:
-            raise ValueError("negative valuation has no integer representative")
-        return r.numerator
-
     def residue(self):
         """Image in F_p as an integer; requires v >= 0."""
         return super().residue().coeffs[0]
 
 
+def _split_words(n, base, k):
+    # the k little-endian base-`base` words of 0 <= n < base**k, halving
+    # the word count per division (Brent and Zimmermann, Modern Computer
+    # Arithmetic, 1.7)
+    if k <= 8:
+        out = []
+        for _ in range(k):
+            n, r = divmod(n, base)
+            out.append(r)
+        return out
+    h = k // 2
+    hi, lo = divmod(n, base ** h)
+    return _split_words(lo, base, h) + _split_words(hi, base, k - h)
+
+
+def _join_words(words, base):
+    # inverse of _split_words
+    if len(words) <= 8:
+        n = 0
+        for x in reversed(words):
+            n = n * base + x
+        return n
+    h = len(words) // 2
+    return _join_words(words[:h], base) + _join_words(words[h:], base) * base ** h
+
+
 def _digits(n, p, count):
+    """The count lowest base-p digits of n, little-endian: split into
+    words of w = _word_digits(p) digits, which each fit one machine
+    digit, then w digits per word.  Up to 8 words, n is taken digit by
+    digit as it is."""
+    w = _word_digits(p)
+    n %= p ** count
+    if count <= 8 * w:
+        words, w = [n], count
+    else:
+        words = _split_words(n, p ** w, -(-count // w))
     out = []
-    for _ in range(count):
-        out.append(n % p)
-        n //= p
+    for x in words:
+        for _ in range(w):
+            out.append(x % p)
+            x //= p
+    del out[count:]
     return out
 
 
 def _undigits(ds, p):
-    n = 0
-    for d in reversed(ds):
-        n = n * p + _json_int(d)
-    return n
+    """The integer with little-endian base-p digits ds, each a JSON
+    integer in [0, p); the inverse of `_digits`, joining words of
+    _word_digits(p) digits (up to 8 words, one word of all digits)."""
+    if not set(map(type, ds)) <= {int}:
+        for d in ds:
+            _json_int(d)
+    if ds and not 0 <= min(ds) <= max(ds) < p:
+        raise ValueError("digits must lie in [0, %d)" % p)
+    w = _word_digits(p)
+    if len(ds) <= 8 * w:
+        w = max(len(ds), 1)
+    words = []
+    for k in range(0, len(ds), w):
+        x = 0
+        for d in reversed(ds[k:k + w]):
+            x = x * p + d
+        words.append(x)
+    return _join_words(words, p ** w)
 
 
 def _json_int(x):

@@ -8,13 +8,17 @@ the mul-mod kernel's oracle: the exact product reduced by a table of
 powers of x rather than by long division.  `_exp_horner` is the plain
 Horner exponential the library used before its blocked one: one series
 over the whole argument, three reductions per term, and the unit part
-of (J-1)! from a second loop.
+of (J-1)! from a second loop.  `_digits_loop` and `_undigits_loop`
+are the one-digit-at-a-time base-p conversions the library used before
+its word-wise divide and conquer.  `rep_int`, `from_residue` and
+`to_padic` are scalar conveniences that only tests need.
 """
 
 from fractions import Fraction
 
 from padicloci.padic import (
     DomainError,
+    PadicScalar,
     PrecisionError,
     UnramifiedScalar,
     _exp_domain_check,
@@ -26,6 +30,42 @@ from padicloci.padic import (
     int_valuation,
     modulus_poly,
 )
+
+
+def rep_int(x):
+    """The integer representative of a scalar of valuation >= 0."""
+    r = x.rep()
+    if r.denominator != 1:
+        raise ValueError("negative valuation has no integer representative")
+    return r.numerator
+
+
+def from_residue(xi, rel_prec):
+    """The unit of Q_{p^f} whose coefficients are the residue's, lifted."""
+    return UnramifiedScalar(xi.p, xi.f, 0, xi.coeffs, rel_prec)
+
+
+def to_padic(x):
+    """x as a PadicScalar; ValueError when x does not lie in Q_p."""
+    if any(x.coeff[1:]):
+        raise ValueError("element does not lie in Q_p")
+    m = x.zprec if x.v is None else x.M
+    return PadicScalar._new(x.p, 1, x.v, x.coeff[:1], m)
+
+
+def _digits_loop(n, p, count):
+    out = []
+    for _ in range(count):
+        out.append(n % p)
+        n //= p
+    return out
+
+
+def _undigits_loop(ds, p):
+    n = 0
+    for d in reversed(ds):
+        n = n * p + d
+    return n
 
 
 def fraction_valuation(q, p):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicloci import cli, complexes
 from padicloci.cli import _VERIFY_GRID_CAP, _build_parser, main
 from padicloci.cosets import BinomialSystem, solve_binomial
 from padicloci.padic import PadicScalar
@@ -957,3 +958,96 @@ def test_fitting_lists_a_generator_once_whatever_order_its_coefficients_carry(
     doc = {"complex": {"vars": 1, "matrices": [[[first], [second]]]}, "i": 0, "j": 0}
     code, out, _ = run_cli(["fitting"], doc, monkeypatch, capsys)
     assert code == 0 and out["count"] == 1
+
+
+# -- builtin complexes: built once per process, and capped --------------------
+
+
+@pytest.mark.parametrize(
+    "builtin, code",
+    [
+        ({"builtin": "wedge", "n": 256}, 0),
+        ({"builtin": "wedge", "n": 257}, 1),
+        ({"builtin": "surface", "genus": 128}, 0),
+        ({"builtin": "surface", "genus": 129}, 1),
+    ],
+)
+def test_a_builtin_with_more_than_256_variables_is_refused(
+    builtin, code, monkeypatch, capsys
+):
+    doc = {"complex": builtin, "i": 1, "j": 0, "order_bound": 1}
+    got, out, _ = run_cli(["jumping-scan"], doc, monkeypatch, capsys)
+    assert got == code
+    if code:
+        assert out == {"refusal": "size limit exceeded"}
+    else:
+        assert out["scanned"] == 1
+
+
+def test_an_out_of_range_unit_digit_exits_two(monkeypatch, capsys):
+    x = {"p": 5, "v": 1, "unit_digits": [6, -1], "rel_prec": 2}
+    code, out, err = run_cli(["exp"], {"p": 5, "x": x}, monkeypatch, capsys)
+    assert code == 2 and out is None
+    assert "[0, 5)" in err
+
+
+def _cli_bytes(cmd, doc, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code = main([cmd])
+    return code, capsys.readouterr().out
+
+
+def test_two_documents_on_one_builtin_share_one_instance(monkeypatch, capsys):
+    complexes.torus_complex.cache_clear()
+    checks = [0]
+    check = complexes.TwistedComplex._check_composite
+
+    def counted(upper, lower, i):
+        checks[0] += 1
+        return check(upper, lower, i)
+
+    monkeypatch.setattr(complexes.TwistedComplex, "_check_composite", staticmethod(counted))
+    seen = []
+    spec = cli.specialize
+    monkeypatch.setattr(cli, "specialize", lambda cplx, char: seen.append(cplx) or spec(cplx, char))
+    for char in (["1/5", "0"], ["1/7", "2/7"]):
+        doc = {"complex": {"builtin": "torus"}, "character": char}
+        assert _cli_bytes("cohomology", doc, monkeypatch, capsys)[0] == 0
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert checks[0] == 1
+
+
+@pytest.mark.parametrize(
+    "builtin",
+    [{"builtin": "torus"}, {"builtin": "wedge", "n": 3}, {"builtin": "surface", "genus": 2}],
+)
+def test_interleaved_documents_on_a_kept_builtin_match_fresh_instances(
+    builtin, monkeypatch, capsys
+):
+    nvars = {"torus": 2, "wedge": 3, "surface": 4}[builtin["builtin"]]
+    docs = []
+    for m in range(5, 13):
+        char = ["%d/%d" % (k * (m - 1) % m + 1, m) for k in range(nvars)]
+        docs.append(("cohomology", {"complex": builtin, "character": char}))
+        order = 3 if nvars > 2 else m % 4 + 3
+        docs.append(("jumping-scan", {"complex": builtin, "i": 1, "j": m % 3, "order_bound": order}))
+    kept = [_cli_bytes(cmd, doc, monkeypatch, capsys) for cmd, doc in docs]
+    build = cli._builtin_complex
+
+    def fresh(c):
+        cplx = build(c)
+        return complexes.TwistedComplex(cplx.nvars, cplx.dims, cplx.mats)
+
+    monkeypatch.setattr(cli, "_builtin_complex", fresh)
+    assert kept == [_cli_bytes(cmd, doc, monkeypatch, capsys) for cmd, doc in docs]
+    assert all(code == 0 for code, _ in kept)
+
+
+def test_demo_in_a_warm_process_matches_a_fresh_process(monkeypatch, capsys):
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicloci.cli", "demo"], capture_output=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    for _ in range(2):
+        code, out = _cli_bytes("demo", {}, monkeypatch, capsys)
+        assert code == 0 and out.encode() == proc.stdout

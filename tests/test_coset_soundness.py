@@ -95,7 +95,7 @@ def test_scalar_operations_are_coset_sound(data):
         f = max(x.f, y.f)
         h = modulus_poly(p, f)
         a, b = _pad(a, f), _pad(b, f)
-        if op == "/" and y.is_zero_coset:
+        if op == "/" and y.valuation is None:
             with pytest.raises(ZeroDivisionError):
                 x / y
             return
@@ -110,7 +110,7 @@ def test_scalar_operations_are_coset_sound(data):
         assert isinstance(z, PadicScalar) == both_qp
     elif op == "**":
         e = data.draw(st.integers(-3, 4))
-        if x.is_zero_coset and e <= 0:
+        if x.valuation is None and e <= 0:
             with pytest.raises(ZeroDivisionError):
                 x ** e
             return

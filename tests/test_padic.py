@@ -16,6 +16,8 @@ from padicloci.padic import (
     PrecisionError,
     ResidueElement,
     UnramifiedScalar,
+    _digits,
+    _undigits,
     _vec_mul_mod,
     coset_eq,
     embed_root_of_unity,
@@ -28,7 +30,16 @@ from padicloci.padic import (
     teichmuller,
 )
 
-from padic_oracles import _exp_reference, _log_reference, _vec_mul_mod_reference
+from padic_oracles import (
+    _digits_loop,
+    _exp_reference,
+    _log_reference,
+    _undigits_loop,
+    _vec_mul_mod_reference,
+    from_residue,
+    rep_int,
+    to_padic,
+)
 
 
 def random_fraction(rng, p):
@@ -45,21 +56,21 @@ def random_fraction(rng, p):
 def test_from_int_basic_coset_data():
     x = PadicScalar.from_int(5, 50, 3)
     assert x.valuation == 2
-    assert x.rep_int() == 50
+    assert rep_int(x) == 50
     assert x.abs_prec == 5
     z = PadicScalar.from_int(5, 0, 3)
-    assert z.is_zero_coset and z.abs_prec == 3
+    assert z.valuation is None and z.abs_prec == 3
 
 
 def test_from_fraction_inverts_denominator():
     x = PadicScalar.from_fraction(5, Fraction(1, 2), 4)
-    assert x.rep_int() == 313
-    assert (x + x).rep_int() == 1
+    assert rep_int(x) == 313
+    assert rep_int(x + x) == 1
     y = PadicScalar.from_fraction(7, Fraction(3, 7), 5)
     assert y.valuation == -1
     assert y.rep() == Fraction(3, 7)
     with pytest.raises(ValueError):
-        y.rep_int()
+        rep_int(y)
     assert coset_eq(y * 7, PadicScalar.from_int(7, 3, 5))
 
 
@@ -82,11 +93,11 @@ def test_zero_coset_absorbing_rules():
     z = PadicScalar.zero_at(3, 4)
     x = PadicScalar.from_int(3, 2, 6)
     s = z + x
-    assert not s.is_zero_coset
+    assert s.valuation is not None
     assert s.abs_prec == 4
     prod = z * x
-    assert prod.is_zero_coset and prod.abs_prec == 4
-    assert (z + z).is_zero_coset
+    assert prod.valuation is None and prod.abs_prec == 4
+    assert (z + z).valuation is None
 
 
 def test_is_zero_to_three_way():
@@ -101,7 +112,7 @@ def test_is_zero_to_three_way():
 
 def test_truncate_refuses_to_refine():
     x = PadicScalar.from_int(5, 7, 3)
-    assert x.truncate_abs(2).rep_int() == 7
+    assert rep_int(x.truncate_abs(2)) == 7
     with pytest.raises(PrecisionError):
         x.truncate_abs(10)
 
@@ -135,7 +146,7 @@ def test_zero_cosets_are_not_clamped_to_positive_precision():
     assert z1.divexact_rational(125) == PadicScalar.zero_at(5, -2)
     assert z2.divexact_rational(125) == UnramifiedScalar.zero_at(5, 2, -2)
     x1 = PadicScalar.from_fraction(5, Fraction(2, 125), 4)
-    x2 = UnramifiedScalar.from_residue(ResidueElement(5, 2, (1, 3)), 4).divexact_rational(125)
+    x2 = from_residue(ResidueElement(5, 2, (1, 3)), 4).divexact_rational(125)
     assert z1 * x1 == PadicScalar.zero_at(5, -2)
     assert x2 * z2 == UnramifiedScalar.zero_at(5, 2, -2)
 
@@ -143,14 +154,14 @@ def test_zero_cosets_are_not_clamped_to_positive_precision():
 def test_cancellation_below_precision_one_is_the_zero_coset():
     # 5^-3 + O(5^-2) minus itself
     x1 = PadicScalar.from_fraction(5, Fraction(1, 125), 1)
-    x2 = UnramifiedScalar.from_residue(ResidueElement(5, 2, (2, 1)), 1).divexact_rational(125)
+    x2 = from_residue(ResidueElement(5, 2, (2, 1)), 1).divexact_rational(125)
     assert x1 - x1 == PadicScalar.zero_at(5, -2)
     assert isinstance(x1 - x1, PadicScalar)
     assert x2 - x2 == UnramifiedScalar.zero_at(5, 2, -2)
 
 
 def test_rational_operands_multiply_exactly_in_every_degree():
-    x = UnramifiedScalar.from_residue(ResidueElement(5, 2, (2, 3)), 10)
+    x = from_residue(ResidueElement(5, 2, (2, 3)), 10)
     y = x * 5
     assert (y.v, y.M) == (1, 10)
     assert y / 5 == x
@@ -166,7 +177,7 @@ def test_result_class_follows_the_operands():
     for r in (a * w, w * a, a + w, w - a, a / w):
         assert type(r) is UnramifiedScalar
     assert (a * w).residue() == ResidueElement.from_int(7, 2)
-    assert a == UnramifiedScalar.from_padic(a, 1) and hash(a) == hash(a.to_padic())
+    assert a == UnramifiedScalar.from_padic(a, 1) and hash(a) == hash(to_padic(a))
 
 
 def test_json_input_needs_positive_precision():
@@ -269,14 +280,14 @@ def test_residue_element_orders_partition_the_unit_group():
 
 def test_unramified_round_trips():
     xi = ResidueElement(5, 2, (2, 3))
-    x = UnramifiedScalar.from_residue(xi, 6)
+    x = from_residue(xi, 6)
     assert x.residue() == xi
-    assert x.coefficients()[0].residue() == 2
+    assert x.coeff[0] % 5 == 2
     flat = PadicScalar.from_fraction(5, Fraction(4, 3), 6)
     emb = UnramifiedScalar.from_padic(flat, 2)
-    assert emb.to_padic() == flat
+    assert to_padic(emb) == flat
     with pytest.raises(ValueError):
-        (x * x).to_padic()  # genuinely quadratic element
+        to_padic(x * x)  # genuinely quadratic element
 
 
 def test_unramified_field_axioms_sampled():
@@ -284,7 +295,7 @@ def test_unramified_field_axioms_sampled():
     p, f, prec = 3, 2, 6
     def rand_unit():
         c = (rng.randrange(1, p), rng.randrange(p))
-        return UnramifiedScalar.from_residue(ResidueElement(p, f, c), prec) + (
+        return from_residue(ResidueElement(p, f, c), prec) + (
             UnramifiedScalar.one(p, f, prec) * rng.randrange(p ** 3)
         )
     for _ in range(30):
@@ -296,12 +307,12 @@ def test_unramified_field_axioms_sampled():
 
 def test_unramified_json_round_trip_and_flat_dispatch():
     xi = ResidueElement(3, 2, (1, 2))
-    x = UnramifiedScalar.from_residue(xi, 5)
+    x = from_residue(xi, 5)
     doc = x.to_json()
     assert doc["f"] == 2
     assert scalar_from_json(doc) == x
     flat = UnramifiedScalar.from_padic(PadicScalar.from_int(3, 7, 5), 1)
-    assert scalar_from_json(flat.to_json()) == flat.to_padic()
+    assert scalar_from_json(flat.to_json()) == to_padic(flat)
 
 
 # -- Teichmuller lifts ------------------------------------------------------
@@ -309,7 +320,7 @@ def test_unramified_json_round_trip_and_flat_dispatch():
 
 def test_teichmuller_known_value_and_defining_properties():
     om = teichmuller(ResidueElement.from_int(5, 2), 4)
-    assert om.to_padic().rep_int() == 182
+    assert rep_int(to_padic(om)) == 182
     for p, f in ((2, 3), (3, 2), (7, 1), (13, 1)):
         q = p ** f
         for c in range(1, min(q, 9)):
@@ -361,14 +372,14 @@ def test_exp_domain_gates():
     with pytest.raises(DomainError):
         padic_log(PadicScalar.from_int(5, 5, 4))
     # zero coset known deep enough is fine, shallow is a precision failure
-    assert padic_exp(PadicScalar.zero_at(3, 4)).rep_int() == 1
+    assert rep_int(padic_exp(PadicScalar.zero_at(3, 4))) == 1
     with pytest.raises(PrecisionError):
         padic_exp(PadicScalar.zero_at(2, 1))
 
 
 def test_exp_known_value():
     x = padic_exp(PadicScalar.from_int(5, 5, 3))
-    assert x.rep_int() % 5 ** 4 == 456
+    assert rep_int(x) % 5 ** 4 == 456
 
 
 def test_exp_log_match_reference_series():
@@ -399,7 +410,7 @@ def test_exp_is_a_homomorphism_and_log_inverts_it():
 def test_exp_log_on_quadratic_extension():
     p, f = 3, 2
     xi = ResidueElement(p, f, (1, 1))
-    x = UnramifiedScalar.from_residue(xi, 6) * p
+    x = from_residue(xi, 6) * p
     assert x.v == 1
     e = padic_exp(x)
     assert e.v == 0 and e.residue() == ResidueElement(p, f, (1, 0))
@@ -415,7 +426,7 @@ def test_log_requires_principal_units():
         padic_log(mixed)
     # dividing out the multiplicative lift of the residue restores the domain
     fixed = mixed * teichmuller(mixed.residue(), 6).inverse()
-    assert coset_eq(padic_log(fixed).to_padic(), padic_log(u))
+    assert coset_eq(to_padic(padic_log(fixed)), padic_log(u))
 
 
 # -- the mul-mod kernel -----------------------------------------------------
@@ -436,3 +447,38 @@ def test_vec_mul_mod_matches_the_schoolbook_reference(data):
     a = data.draw(st.lists(coeff, min_size=f, max_size=f), label="a")
     b = data.draw(st.lists(coeff, min_size=f, max_size=f), label="b")
     assert _vec_mul_mod(a, b, h, pm) == _vec_mul_mod_reference(a, b, h, pm)
+
+
+# -- digit conversion -------------------------------------------------------
+
+_DIGIT_PRIMES = st.sampled_from([2, 3, 5, 7, 13, 101, 65537, 2 ** 31 - 1, 2 ** 61 - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DIGIT_PRIMES, st.integers(0, 700), st.data())
+def test_word_digits_match_the_digit_loop(p, count, data):
+    # n runs past p**count, where only the count lowest digits are kept,
+    # and below 0, where the digits are those of n mod p**count
+    n = data.draw(
+        st.one_of(
+            st.just(0),
+            st.just(p ** count - 1),
+            st.integers(0, p ** count),
+            st.integers(-(p ** (count + 2)), p ** (count + 2)),
+        )
+    )
+    ds = _digits(n, p, count)
+    assert ds == _digits_loop(n, p, count)
+    assert _undigits(ds, p) == _undigits_loop(ds, p) == n % p ** count
+
+
+@pytest.mark.parametrize("ds", [[5], [0, 5, 1], [-1], [1, -1], [6, -1]])
+def test_undigits_rejects_a_digit_outside_the_range(ds):
+    with pytest.raises(ValueError):
+        _undigits(ds, 5)
+
+
+def test_word_digits_of_a_long_expansion():
+    n = random.Random(5).getrandbits(100000)
+    assert _digits(n, 2, 100000) == [int(b) for b in reversed(format(n, "0100000b"))]
+    assert _undigits(_digits(n, 3, 70000), 3) == n % 3 ** 70000

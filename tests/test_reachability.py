@@ -1,4 +1,4 @@
-"""Every top-level definition in the package is reachable from the CLI.
+"""Every top-level definition and method in the package is reachable from the CLI.
 
 The walk follows the package modules that `cli.py` imports, directly or
 through other package modules.  Its roots are all of `cli.py` and the
@@ -6,8 +6,10 @@ module-level code of each of those modules.  A top-level function or
 class is reached when its name appears in reached code, and its whole
 body then becomes reached code.  Import statements bind names without
 using them, so they reach nothing, and the re-exports in `__init__.py`
-are the library surface rather than a use.  Methods are outside the
-walk: a reached class brings in every method it has.
+are the library surface rather than a use.  A reached class brings in
+its bases, decorators, class-level statements and dunder methods; any
+other method is reached when its name appears in reached code, since
+a call through an instance names only the attribute.
 
 The same import walk checks the layering: the p-adic certificate layer
 (`series`, `conic`, `cosets`) reaches neither cyclotomic fields nor
@@ -63,6 +65,19 @@ def _names_used(nodes):
     return out
 
 
+def _class_parts(node):
+    """(reached with the class, {method name: method}) of a class body."""
+    parts = node.bases + node.keywords + node.decorator_list
+    methods = {}
+    for item in node.body:
+        name = getattr(item, "name", "")
+        if not isinstance(item, DEFINITIONS) or name.startswith("__") and name.endswith("__"):
+            parts.append(item)
+        else:
+            methods[name] = item
+    return parts, methods
+
+
 def unreached_definitions():
     trees = runtime_modules()
     defs = {}
@@ -74,19 +89,44 @@ def unreached_definitions():
             else:
                 frontier.append(node)
     reached = set()
+    reached_nodes = set()
+
+    def reach(node):
+        reached_nodes.add(node)
+        if not isinstance(node, ast.ClassDef):
+            frontier.append(node)
+            return
+        parts, methods = _class_parts(node)
+        frontier.extend(parts)
+        for name, method in methods.items():
+            defs.setdefault(name, []).append(method)
+            if name in reached:
+                reach(method)
+
     while frontier:
         fresh = _names_used(frontier) - reached
         reached |= fresh
-        frontier = [node for name in fresh for node in defs.get(name, ())]
+        frontier = []
+        for name in fresh:
+            for node in defs.get(name, ()):
+                reach(node)
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         if module == "__init__":
             continue
-        for node in _parse(module).body:
-            if isinstance(node, DEFINITIONS):
-                if module not in trees or node.name not in reached:
-                    out.append("%s.%s" % (module, node.name))
+        tree = trees.get(module) or _parse(module)
+        for node in tree.body:
+            if not isinstance(node, DEFINITIONS):
+                continue
+            if node not in reached_nodes:
+                out.append("%s.%s" % (module, node.name))
+            elif isinstance(node, ast.ClassDef):
+                out.extend(
+                    "%s.%s.%s" % (module, node.name, name)
+                    for name, method in _class_parts(node)[1].items()
+                    if method not in reached_nodes
+                )
     return out
 
 
@@ -103,3 +143,21 @@ def test_every_top_level_definition_is_reached_from_the_cli():
 @pytest.mark.parametrize("module", ["series", "conic", "cosets"])
 def test_the_padic_layer_imports_no_exact_field(module):
     assert not {"cyclotomic", "laurent"} & set(runtime_modules(module))
+
+
+def test_a_method_named_nowhere_is_reported(monkeypatch):
+    # a copy of complexes.py whose TwistedComplex gains a method that no
+    # reached code names; its dunder twin is reached with the class
+    parse = _parse
+
+    def with_stray_methods(module):
+        tree = parse(module)
+        if module == "complexes":
+            extra = ast.parse("def stray_method(self):\n    return 1\n\ndef __len__(self):\n    return 1\n")
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and node.name == "TwistedComplex":
+                    node.body.extend(extra.body)
+        return tree
+
+    monkeypatch.setitem(globals(), "_parse", with_stray_methods)
+    assert unreached_definitions() == ["complexes.TwistedComplex.stray_method"]
