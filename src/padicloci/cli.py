@@ -63,8 +63,9 @@ INPUT_FREE = {"demo"}
 # largest character grid a scan or a verification may walk, and so the
 # largest character order `cohomology` takes (a one-variable scan's)
 _VERIFY_GRID_CAP = 200000
-# most character variables a builtin complex may have (wedge n, surface 2 * genus)
-_BUILTIN_VARS_CAP = 256
+# most character variables a complex may have (a written-out complex's
+# vars, wedge n, surface 2 * genus)
+_VARS_CAP = 256
 
 
 class SchemaError(Exception):
@@ -186,12 +187,12 @@ def _builtin_complex(c):
         return torus_complex()
     if name == "wedge":
         n = _int_field(c, "n")
-        if n > _BUILTIN_VARS_CAP:
+        if n > _VARS_CAP:
             raise Refusal(SIZE_LIMIT_MESSAGE)
         return wedge_complex(n)
     if name == "surface":
         g = _int_field(c, "genus")
-        if 2 * g > _BUILTIN_VARS_CAP:
+        if 2 * g > _VARS_CAP:
             raise Refusal(SIZE_LIMIT_MESSAGE)
         return surface_complex(g)
     raise SchemaError("unknown builtin complex '%s'" % name)
@@ -199,7 +200,11 @@ def _builtin_complex(c):
 
 def _complex_in(doc):
     c = _need(doc, "complex", dict)
-    return _decode("complex", _builtin_complex if "builtin" in c else TwistedComplex.from_json, c)
+    if "builtin" in c:
+        return _decode("complex", _builtin_complex, c)
+    if _int_field(c, "vars") > _VARS_CAP:
+        raise Refusal(SIZE_LIMIT_MESSAGE)
+    return _decode("complex", TwistedComplex.from_json, c)
 
 
 def _character_in(doc, key, nvars):

@@ -25,7 +25,6 @@ from operator import mul
 
 from .conic import AnalyticLocus, conic_certificate
 from .intlinalg import (
-    determinant,
     diagonal_of,
     hermite_normal_form,
     identity_matrix,
@@ -34,7 +33,6 @@ from .intlinalg import (
     mat_vec,
     smith_normal_form,
     transpose,
-    unimodular_inverse,
     vec_mat,
 )
 from .padic import (
@@ -185,15 +183,15 @@ def solve_binomial(system):
     coordinates stay free; an inconsistent system yields the empty
     list, never an error, and more than _COMPONENT_CAP components raise
     ValueError.  The pinned characters pull back to rows of the inverse
-    column transform, which are saturated because any subset of rows of
-    a unimodular matrix is.
+    column transform W^-1, which are saturated because any subset of rows
+    of a unimodular matrix is; U A W = D gives U A = D W^-1, so row k of
+    W^-1 is row k of U A divided exactly by s_k.
     """
     d = system.dim
     if not system.equations:
         return [TorsionCoset(d, (), ())]
     rows = [list(v) for v, _ in system.equations]
-    u, dmat, w = smith_normal_form(rows)
-    winv = unimodular_inverse(w)
+    u, dmat, _ = smith_normal_form(rows)
     rhs = [e for _, e in system.equations]
     moved = [sum(c * e for c, e in zip(urow, rhs)) % 1 for urow in u]
     diag = diagonal_of(dmat)
@@ -208,7 +206,7 @@ def solve_binomial(system):
     count = math.prod(s for _, s in pinned)
     if count > _COMPONENT_CAP:
         raise ValueError("%d components are over the cap of %d" % (count, _COMPONENT_CAP))
-    basis = [winv[k] for k, _ in pinned]
+    basis = [[x // s for x in vec_mat(u[k], rows)] for k, s in pinned]
     out = []
     for choice in product(*(range(s) for _, s in pinned)):
         vals = [(moved[k] + j) / s for (k, s), j in zip(pinned, choice)]
@@ -268,7 +266,8 @@ def _check_unimodular(auto, d):
     rows = [[int(c) for c in r] for r in auto]
     if len(rows) != d or any(len(r) != d for r in rows):
         raise ValueError("automorphism shape mismatch")
-    if determinant(rows) not in (1, -1):
+    # unimodular exactly when the rows span Z^d
+    if hermite_normal_form(rows)[0] != identity_matrix(d):
         raise ValueError("automorphism must be unimodular")
     return rows
 

@@ -188,7 +188,7 @@ class CycNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycNumber.from_rational(other)
+            return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, CycNumber):
             return NotImplemented
         a, b, _ = self._common(other)

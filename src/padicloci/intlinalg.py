@@ -17,20 +17,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    if not a:
-        return []
-    rows, inner = len(a), len(a[0])
-    if inner != len(b):
-        raise ValueError("shape mismatch in mat_mul")
-    cols = len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        ai = a[i]
-        out.append([sum(ai[k] * b[k][j] for k in range(inner)) for j in range(cols)])
-    return out
-
-
 def mat_vec(a, x):
     return [sum(r[k] * x[k] for k in range(len(x))) for r in a]
 
@@ -146,41 +132,6 @@ def smith_normal_form(mat):
 
 def diagonal_of(d):
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
-def determinant(mat):
-    """Exact determinant (fraction-free, Bareiss)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in mat):
-        raise ValueError("determinant of non-square matrix")
-    a = [list(r) for r in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def unimodular_inverse(mat):
-    """Inverse of an integer matrix with determinant +-1."""
-    u, d, w = smith_normal_form(mat)
-    n = len(mat)
-    diag = diagonal_of(d)
-    if len(diag) != n or any(x != 1 for x in diag):
-        raise ValueError("matrix is not unimodular")
-    return mat_mul(w, u)
 
 
 def hermite_normal_form(rows, values=None):

@@ -15,8 +15,8 @@ N may be any integer.  Norms follow the convention |p| = 1/p, so a
 valuation-v element has norm p**(-v).
 
 `PadicScalar` is the f = 1 face of the same type, Q_p itself: it adds
-the familiar (p, v, u, rel_prec) constructor, the integer unit ``u``,
-rational representatives and the residue as an integer.  A result is a
+the familiar (p, v, u, rel_prec) constructor, rational inputs and the
+residue as an integer.  A result is a
 `PadicScalar` whenever every scalar operand is one, so Q_p data keeps
 its type; f = 1 data typed as `UnramifiedScalar` (a Teichmuller lift,
 say) keeps that type and its residue in the residue field.  Both
@@ -39,6 +39,8 @@ import sys
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
+
+from .linalg import rank_mod_prime
 
 
 class PrecisionError(ArithmeticError):
@@ -184,50 +186,22 @@ def _vec_inverse_mod(a, p, h, m):
 # ---------------------------------------------------------------------------
 
 
-def _fp_polygcd(a, b, p):
-    a, b = list(a), list(b)
-
-    def deg(x):
-        d = len(x) - 1
-        while d >= 0 and x[d] % p == 0:
-            d -= 1
-        return d
-
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[deg(b)] % p, -1, p)
-        while deg(a) >= deg(b):
-            da = deg(a)
-            c = a[da] * inv % p
-            shift = da - deg(b)
-            for i in range(deg(b) + 1):
-                a[i + shift] = (a[i + shift] - c * b[i]) % p
-        a, b = b, a
-    return a
-
-
 def _is_irreducible(coeffs, p, f):
-    # coeffs: little-endian of monic degree-f poly over F_p
+    # coeffs: little-endian of monic degree-f h over F_p.  h divides
+    # x^(p^f) - x exactly when it is squarefree with factor degrees
+    # dividing f; then Berlekamp's Q - I (row i is x^(p i) mod h minus
+    # e_i) has nullity the number of factors (Berlekamp 1967)
     h = list(coeffs)
     if f == 1:
         return True
-    xq = _vec_pow_mod([0, 1], p ** f, h, p)
-    if xq != [0, 1] + [0] * (f - 2):
+    if _vec_pow_mod([0, 1], p ** f, h, p) != [0, 1] + [0] * (f - 2):
         return False
-    for q in set(_prime_factors(f)):
-        xe = _vec_pow_mod([0, 1], p ** (f // q), h, p)
-        diff = list(xe)
-        diff[1] = (diff[1] - 1) % p
-        g = _fp_polygcd(h, diff, p)
-        dg = len(g) - 1
-        while dg >= 0 and g[dg] % p == 0:
-            dg -= 1
-        if dg != 0:
-            return False
-    return True
+    xp = _vec_pow_mod([0, 1], p, h, p)
+    row, rows = [1] + [0] * (f - 1), []
+    for i in range(f):
+        rows.append([(c - (i == j)) % p for j, c in enumerate(row)])
+        row = _vec_mul_mod(row, xp, h, p)
+    return rank_mod_prime(rows, p) == f - 1
 
 
 def _prime_factors(n):
@@ -323,19 +297,6 @@ class ResidueElement:
         h = modulus_poly(self.p, self.f)
         return ResidueElement(self.p, self.f, _vec_pow_mod(self.coeffs, e, h, self.p))
 
-    def one_like(self):
-        return ResidueElement(self.p, self.f, (1,) + (0,) * (self.f - 1))
-
-    def multiplicative_order(self):
-        if self.is_zero():
-            raise ZeroDivisionError("order of zero")
-        n = self.p ** self.f - 1
-        order = n
-        for q in set(_prime_factors(n)):
-            while order % q == 0 and (self ** (order // q)) == self.one_like():
-                order //= q
-        return order
-
 
 def residue_field_elements(p, f):
     """All elements in lexicographic coefficient order."""
@@ -349,7 +310,8 @@ _GENERATOR_CACHE = {}
 
 
 def multiplicative_generator(p, f):
-    """Lex-smallest generator of F_{p^f}^* (pinned convention)."""
+    """Lex-smallest generator of F_{p^f}^* (pinned convention): the first
+    g != 0 with g^((q-1)/r) != 1 for every prime r dividing q - 1."""
     key = (p, f)
     got = _GENERATOR_CACHE.get(key)
     if got is not None:
@@ -357,11 +319,10 @@ def multiplicative_generator(p, f):
     q = p ** f
     if q > 10 ** 6:
         raise ValueError("residue field too large for the generator search (q = %d)" % q)
-    n = q - 1
+    one = (1,) + (0,) * (f - 1)
+    cofactors = [(q - 1) // r for r in set(_prime_factors(q - 1))]
     for elt in residue_field_elements(p, f):
-        if elt.is_zero():
-            continue
-        if elt.multiplicative_order() == n:
+        if not elt.is_zero() and all((elt ** c).coeffs != one for c in cofactors):
             _GENERATOR_CACHE[key] = elt
             return elt
     raise AssertionError("cyclic group without generator; unreachable")
@@ -682,18 +643,6 @@ class PadicScalar(UnramifiedScalar):
     @classmethod
     def from_int(cls, p, n, rel_prec):
         return cls.from_fraction(p, n, rel_prec)
-
-    @property
-    def u(self):
-        return self.coeff[0]
-
-    def rep(self):
-        """Canonical rational representative of the coset."""
-        if self.v is None:
-            return Fraction(0)
-        if self.v >= 0:
-            return Fraction((self.p ** self.v * self.u) % self.p ** self.abs_prec)
-        return Fraction(self.u, self.p ** (-self.v))
 
     def residue(self):
         """Image in F_p as an integer; requires v >= 0."""

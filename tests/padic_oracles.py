@@ -10,8 +10,8 @@ Horner exponential the library used before its blocked one: one series
 over the whole argument, three reductions per term, and the unit part
 of (J-1)! from a second loop.  `_digits_loop` and `_undigits_loop`
 are the one-digit-at-a-time base-p conversions the library used before
-its word-wise divide and conquer.  `rep_int`, `from_residue` and
-`to_padic` are scalar conveniences that only tests need.
+its word-wise divide and conquer.  `rep`, `rep_int`, `from_residue`
+and `to_padic` are scalar conveniences that only tests need.
 """
 
 from fractions import Fraction
@@ -32,9 +32,18 @@ from padicloci.padic import (
 )
 
 
+def rep(x):
+    """The canonical rational representative of a Q_p scalar's coset."""
+    if x.v is None:
+        return Fraction(0)
+    if x.v >= 0:
+        return Fraction((x.p ** x.v * x.coeff[0]) % x.p ** x.abs_prec)
+    return Fraction(x.coeff[0], x.p ** (-x.v))
+
+
 def rep_int(x):
     """The integer representative of a scalar of valuation >= 0."""
-    r = x.rep()
+    r = rep(x)
     if r.denominator != 1:
         raise ValueError("negative valuation has no integer representative")
     return r.numerator

@@ -984,6 +984,22 @@ def test_a_builtin_with_more_than_256_variables_is_refused(
         assert out["scanned"] == 1
 
 
+@pytest.mark.parametrize("nvars, code", [(256, 0), (257, 1), (4000000, 1)])
+def test_a_written_complex_with_more_than_256_variables_is_refused(
+    nvars, code, monkeypatch, capsys
+):
+    # refused before any cell becomes a Laurent polynomial
+    if code:
+        monkeypatch.setattr(complexes, "laurent_from_json", None)
+    doc = {"complex": {"vars": nvars, "dims": [1, 1], "matrices": [[[[]]]]}, "i": 0, "j": 5}
+    got, out, _ = run_cli(["fitting"], doc, monkeypatch, capsys)
+    assert got == code
+    if code:
+        assert out == {"refusal": "size limit exceeded"}
+    else:
+        assert out == {"count": 1, "generators": [[{"coeff": "1", "exp": [0] * 256}]]}
+
+
 def test_an_out_of_range_unit_digit_exits_two(monkeypatch, capsys):
     x = {"p": 5, "v": 1, "unit_digits": [6, -1], "rel_prec": 2}
     code, out, err = run_cli(["exp"], {"p": 5, "x": x}, monkeypatch, capsys)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicloci.cyclotomic import (
     CycNumber,
@@ -164,6 +166,24 @@ def test_rational_detection():
     w = z ** 4  # equals -1
     assert w.is_rational() and w.rational_value() == -1
     assert CycNumber.from_rational(Fraction(2, 5)).rational_value() == Fraction(2, 5)
+
+
+_SMALL_FRACTIONS = st.fractions(-3, 3, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.lists(_SMALL_FRACTIONS, min_size=1, max_size=12),
+    st.booleans(),
+    st.one_of(st.integers(-3, 3), _SMALL_FRACTIONS, st.none()),
+)
+def test_equality_with_a_rational_matches_the_lifted_comparison(order, coeffs, rational, q):
+    # q None compares against the first coordinate, equal or not
+    x = CycNumber(order, coeffs[:1] if rational else coeffs)
+    if q is None:
+        q = coeffs[0]
+    assert (x == q) == (x == CycNumber.from_rational(q)) == (q == x)
 
 
 def test_equal_rational_values_hash_alike_across_orders():

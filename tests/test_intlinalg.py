@@ -1,19 +1,71 @@
-import random
+"""Integer normal forms, checked against the oracles below.
 
+`determinant` (fraction-free Bareiss) and `mat_mul` are the Smith-form
+oracles: U A W = D with U and W of determinant +-1.  `inverse` is
+Gauss-Jordan over Fractions; it gives the W^-1 whose rows the binomial
+solver pins.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from padicloci.cosets import BinomialSystem, TorsionCoset, _check_unimodular, solve_binomial
 from padicloci.intlinalg import (
-    determinant,
     diagonal_of,
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
     lattice_solve,
-    mat_mul,
     mat_vec,
     smith_normal_form,
     transpose,
-    unimodular_inverse,
     vec_mat,
 )
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def determinant(mat):
+    """Exact determinant (fraction-free, Bareiss)."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [list(r) for r in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot_row is None:
+                return 0
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def inverse(mat):
+    """Inverse of an invertible square matrix over Q, by Gauss-Jordan."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if a[r][c])
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            f = a[r][c]
+            if r != c and f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
 
 
 def random_matrix(rng, n, m, lo=-6, hi=6):
@@ -39,19 +91,73 @@ def test_smith_factorization_and_divisibility():
         assert diag == nz + [0] * (len(diag) - len(nz))
 
 
-def test_unimodular_inverse_round_trip():
+def test_unimodular_check_agrees_with_the_bareiss_determinant():
     rng = random.Random(5)
-    for _ in range(30):
+    seen = set()
+    for _ in range(300):
         n = rng.randrange(1, 5)
-        m = identity_matrix(n)
-        # random unimodular by elementary row operations
-        for _ in range(8):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i != j:
-                q = rng.randrange(-2, 3)
-                m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-        inv = unimodular_inverse(m)
-        assert mat_mul(m, inv) == identity_matrix(n)
+        if rng.randrange(2):
+            # a shuffled product of elementary row additions
+            m = identity_matrix(n)
+            for _ in range(8):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i != j:
+                    q = rng.randrange(-2, 3)
+                    m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+            rng.shuffle(m)
+        else:
+            m = random_matrix(rng, n, n, -2, 2)
+        unimodular = determinant(m) in (1, -1)
+        seen.add(unimodular)
+        if unimodular:
+            assert _check_unimodular(m, n) == m
+        else:
+            with pytest.raises(ValueError, match="unimodular"):
+                _check_unimodular(m, n)
+    assert seen == {True, False}
+    with pytest.raises(ValueError, match="shape"):
+        _check_unimodular([[1, 0]], 2)
+
+
+def _cosets_from_inverse(system):
+    """solve_binomial with the pinned rows read off W^-1 itself."""
+    u, dmat, w = smith_normal_form([list(v) for v, _ in system.equations])
+    winv = inverse(w)
+    assert mat_mul(w, winv) == identity_matrix(len(w))
+    moved = [sum(c * e for c, (_, e) in zip(urow, system.equations)) % 1 for urow in u]
+    diag = diagonal_of(dmat)
+    diag += [0] * (len(moved) - len(diag))
+    if any(e for e, s in zip(moved, diag) if s == 0):
+        return []
+    pinned = [(k, s) for k, s in enumerate(diag) if s]
+    basis = [[int(x) for x in winv[k]] for k, _ in pinned]
+    out = [
+        TorsionCoset(system.dim, basis, [(moved[k] + j) / s for (k, s), j in zip(pinned, choice)])
+        for choice in product(*(range(s) for _, s in pinned))
+    ]
+    return sorted(out, key=lambda c: (c.dim, c.basis, c.translate))
+
+
+def test_pinned_rows_are_the_inverse_column_transform_rows():
+    rng = random.Random(41)
+    for _ in range(150):
+        d = rng.randrange(1, 5)
+        eqs = []
+        for _ in range(rng.randrange(1, 4)):
+            v = [rng.randrange(-4, 5) for _ in range(d)]
+            if any(v):
+                eqs.append((v, Fraction(rng.randrange(0, 12), 12)))
+        if not eqs:
+            continue
+        system = BinomialSystem(d, eqs)
+        # row k of U A is s_k times row k of W^-1
+        rows = [list(v) for v, _ in system.equations]
+        u, dmat, w = smith_normal_form(rows)
+        winv = inverse(w)
+        for k, s in enumerate(diagonal_of(dmat)):
+            if s:
+                assert vec_mat(u[k], rows) == [s * x for x in winv[k]]
+        assert solve_binomial(system) == _cosets_from_inverse(system)
 
 
 def test_hermite_form_is_canonical_for_the_row_span():

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from padicloci import padic
 from padicloci.cli import main
+from padicloci.linalg import rank_mod_prime
 from padicloci.padic import (
     DomainError,
     PadicScalar,
@@ -17,6 +19,7 @@ from padicloci.padic import (
     ResidueElement,
     UnramifiedScalar,
     _digits,
+    _is_irreducible,
     _undigits,
     _vec_mul_mod,
     coset_eq,
@@ -37,6 +40,7 @@ from padic_oracles import (
     _undigits_loop,
     _vec_mul_mod_reference,
     from_residue,
+    rep,
     rep_int,
     to_padic,
 )
@@ -68,7 +72,7 @@ def test_from_fraction_inverts_denominator():
     assert rep_int(x + x) == 1
     y = PadicScalar.from_fraction(7, Fraction(3, 7), 5)
     assert y.valuation == -1
-    assert y.rep() == Fraction(3, 7)
+    assert rep(y) == Fraction(3, 7)
     with pytest.raises(ValueError):
         rep_int(y)
     assert coset_eq(y * 7, PadicScalar.from_int(7, 3, 5))
@@ -209,42 +213,99 @@ def test_scalar_json_round_trip():
 # -- residue fields and the unramified extension ---------------------------
 
 
+def _poly_rem(a, g, p):
+    # remainder of a by the monic g over F_p, little-endian
+    a = list(a)
+    n = len(g) - 1
+    for k in range(len(a) - 1, n - 1, -1):
+        c = a[k] % p
+        if c:
+            for i, gi in enumerate(g):
+                a[k - n + i] -= c * gi
+    return tuple(x % p for x in a[:n])
+
+
+def _mul_mod(a, b, h, p):
+    if len(h) == 2:
+        return (a[0] * b[0] % p,)
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _poly_rem(prod, h, p)
+
+
+def brute_irreducible(h, p):
+    # no monic factor of degree 1 .. f/2, by trial division
+    f = len(h) - 1
+    return all(
+        any(_poly_rem(h, tail + (1,), p))
+        for d in range(1, f // 2 + 1)
+        for tail in product(range(p), repeat=d)
+    )
+
+
 def brute_lex_smallest_modulus(p, f):
-    # exhaustive search over monic degree-f polynomials in lex coefficient
-    # order (constant term first), testing irreducibility by trial products
-    from itertools import product as iproduct
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-        return out
-
-    monic = {1: [[c, 1] for c in range(p)]}
-    for d in range(2, f):
-        monic[d] = [list(t) + [1] for t in iproduct(range(p), repeat=d)]
-    for tail in iproduct(range(p), repeat=f):
-        cand = list(tail) + [1]
-        reducible = False
-        for d in range(1, f // 2 + 1):
-            for a in monic[d]:
-                for b in monic.get(f - d, [[1]] if f - d == 0 else []):
-                    if poly_mul(a, b) == cand:
-                        reducible = True
-                        break
-                if reducible:
-                    break
-            if reducible:
-                break
-        if not reducible:
-            return tuple(cand)
+    for tail in product(range(p), repeat=f):
+        if brute_irreducible(tail + (1,), p):
+            return tail + (1,)
     raise AssertionError("no irreducible polynomial found")
 
 
-def test_modulus_poly_matches_brute_force_lex_search():
-    for p, f in ((2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (13, 2), (5, 3), (3, 4)):
-        assert modulus_poly(p, f) == brute_lex_smallest_modulus(p, f)
+def brute_lex_smallest_generator(p, h):
+    # the first nonzero g whose powers walk all p^f - 1 units before 1
+    f = len(h) - 1
+    one = (1,) + (0,) * (f - 1)
+    for g in product(range(p), repeat=f):
+        if any(g):
+            x, order = g, 1
+            while x != one:
+                x, order = _mul_mod(x, g, h, p), order + 1
+            if order == p ** f - 1:
+                return g
+    raise AssertionError("cyclic group without generator")
+
+
+def prime_powers_upto(bound):
+    for p in range(2, bound + 1):
+        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
+            f = 1
+            while p ** f <= bound:
+                yield p, f
+                f += 1
+
+
+def test_modulus_and_generator_match_brute_force_up_to_5000(monkeypatch):
+    monkeypatch.setattr(padic, "_MODULUS_CACHE", {})
+    monkeypatch.setattr(padic, "_GENERATOR_CACHE", {})
+    pairs = list(prime_powers_upto(5000))
+    assert len(pairs) == 711 and pairs[-1] == (4999, 1)
+    for p, f in pairs:
+        h = brute_lex_smallest_modulus(p, f)
+        assert modulus_poly(p, f) == h
+        assert multiplicative_generator(p, f).coeffs == brute_lex_smallest_generator(p, h)
+
+
+def test_is_irreducible_matches_trial_division():
+    for p, top in ((2, 7), (3, 4), (5, 3), (7, 2)):
+        for f in range(1, top + 1):
+            for tail in product(range(p), repeat=f):
+                h = tail + (1,)
+                assert _is_irreducible(h, p, f) == brute_irreducible(h, p), h
+
+
+def test_is_irreducible_needs_the_squarefree_test():
+    # (x^2 + x + 1)^2 and (x + 1)^4 over F_2 have one distinct factor
+    # each, so Berlekamp's Q - I (row i is x^(2 i) mod h minus e_i) has
+    # nullity 1 on them: only the test that h divides x^16 - x rejects them
+    for h in ((1, 0, 1, 0, 1), (1, 0, 0, 0, 1)):
+        rows, row = [], (1, 0, 0, 0)
+        for i in range(4):
+            rows.append([(c - (i == j)) % 2 for j, c in enumerate(row)])
+            row = _mul_mod(row, (0, 0, 1, 0), h, 2)
+        assert rank_mod_prime(rows, 2) == 3
+        assert not _is_irreducible(h, 2, 4)
+    assert _is_irreducible((1, 1, 0, 0, 1), 2, 4)
 
 
 def test_modulus_search_at_a_large_prime_is_prompt(monkeypatch, capsys, time_budget):
@@ -257,25 +318,6 @@ def test_modulus_search_at_a_large_prime_is_prompt(monkeypatch, capsys, time_bud
         assert main(["teichmuller"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["f"] == 3 and [d[0] for d in out["value"]["unit_digits"]] == [1, 2, 3]
-
-
-def test_residue_element_orders_partition_the_unit_group():
-    for p, f in ((3, 2), (5, 2), (2, 3)):
-        q = p ** f
-        seen = {}
-        from padicloci.padic import residue_field_elements
-
-        for xi in residue_field_elements(p, f):
-            if xi.is_zero():
-                continue
-            n = xi.multiplicative_order()
-            assert (xi ** n) == xi.one_like()
-            seen[n] = seen.get(n, 0) + 1
-        assert sum(seen.values()) == q - 1
-        # cyclic group: phi(d) elements of each order d | q-1
-        assert seen[q - 1] >= 1
-    g = multiplicative_generator(5, 2)
-    assert g.multiplicative_order() == 24
 
 
 def test_unramified_round_trips():

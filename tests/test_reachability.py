@@ -8,8 +8,9 @@ body then becomes reached code.  Import statements bind names without
 using them, so they reach nothing, and the re-exports in `__init__.py`
 are the library surface rather than a use.  A reached class brings in
 its bases, decorators, class-level statements and dunder methods; any
-other method is reached when its name appears in reached code, since
-a call through an instance names only the attribute.
+other method is reached when reached code names it as an attribute
+(`x.name`), since a call through an instance names only the attribute.
+A bare local variable of the same name reaches no method.
 
 The same import walk checks the layering: the p-adic certificate layer
 (`series`, `conic`, `cosets`) reaches neither cyclotomic fields nor
@@ -55,13 +56,16 @@ def runtime_modules(root="cli"):
 
 
 def _names_used(nodes):
+    """("name", x) for every bare or attribute name x in the nodes, and
+    ("attr", x) for every attribute name: top-level definitions are
+    keyed by the first, methods by the second."""
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                out.add(sub.id)
+                out.add(("name", sub.id))
             elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
+                out |= {("name", sub.attr), ("attr", sub.attr)}
     return out
 
 
@@ -85,7 +89,7 @@ def unreached_definitions():
     for tree in trees.values():
         for node in tree.body:
             if isinstance(node, DEFINITIONS):
-                defs.setdefault(node.name, []).append(node)
+                defs.setdefault(("name", node.name), []).append(node)
             else:
                 frontier.append(node)
     reached = set()
@@ -99,8 +103,8 @@ def unreached_definitions():
         parts, methods = _class_parts(node)
         frontier.extend(parts)
         for name, method in methods.items():
-            defs.setdefault(name, []).append(method)
-            if name in reached:
+            defs.setdefault(("attr", name), []).append(method)
+            if ("attr", name) in reached:
                 reach(method)
 
     while frontier:
@@ -147,17 +151,26 @@ def test_the_padic_layer_imports_no_exact_field(module):
 
 def test_a_method_named_nowhere_is_reported(monkeypatch):
     # a copy of complexes.py whose TwistedComplex gains a method that no
-    # reached code names; its dunder twin is reached with the class
+    # reached code names and one named like a local variable of reached
+    # code (`scan_torsion` binds `euler`); their dunder twin is reached
+    # with the class
     parse = _parse
+    extra = ast.parse(
+        "def stray_method(self):\n    return 1\n\n"
+        "def euler(self):\n    return 1\n\n"
+        "def __len__(self):\n    return 1\n"
+    )
 
     def with_stray_methods(module):
         tree = parse(module)
         if module == "complexes":
-            extra = ast.parse("def stray_method(self):\n    return 1\n\ndef __len__(self):\n    return 1\n")
             for node in tree.body:
                 if isinstance(node, ast.ClassDef) and node.name == "TwistedComplex":
                     node.body.extend(extra.body)
         return tree
 
     monkeypatch.setitem(globals(), "_parse", with_stray_methods)
-    assert unreached_definitions() == ["complexes.TwistedComplex.stray_method"]
+    assert unreached_definitions() == [
+        "complexes.TwistedComplex.stray_method",
+        "complexes.TwistedComplex.euler",
+    ]
