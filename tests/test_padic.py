@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +285,40 @@ def test_modulus_and_generator_match_brute_force_up_to_5000(monkeypatch):
         h = brute_lex_smallest_modulus(p, f)
         assert modulus_poly(p, f) == h
         assert multiplicative_generator(p, f).coeffs == brute_lex_smallest_generator(p, h)
+
+
+def test_modulus_poly_matches_brute_force_lex_search():
+    for p, f in ((2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (13, 2), (5, 3), (3, 4)):
+        assert modulus_poly(p, f) == brute_lex_smallest_modulus(p, f)
+
+
+def _order_walk(xi):
+    # multiplicative order of a nonzero residue element by repeated products
+    one = ResidueElement(xi.p, xi.f, (1,) + (0,) * (xi.f - 1))
+    x, n = xi, 1
+    while x != one:
+        x, n = x * xi, n + 1
+    return n, one
+
+
+def test_residue_element_orders_partition_the_unit_group():
+    for p, f in ((3, 2), (5, 2), (2, 3)):
+        q = p ** f
+        seen = {}
+        for xi in padic.residue_field_elements(p, f):
+            if xi.is_zero():
+                continue
+            n, one = _order_walk(xi)
+            assert (xi ** n) == one
+            assert (q - 1) % n == 0
+            seen[n] = seen.get(n, 0) + 1
+        assert sum(seen.values()) == q - 1
+        # cyclic group: phi(d) elements of each order d | q-1
+        for d, count in seen.items():
+            assert count == sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+        assert seen[q - 1] >= 1
+    g = multiplicative_generator(5, 2)
+    assert _order_walk(g)[0] == 24
 
 
 def test_is_irreducible_matches_trial_division():
