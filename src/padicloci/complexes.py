@@ -93,15 +93,6 @@ class TwistedComplex:
                         "maps %d and %d do not compose to zero" % (i, i + 1)
                     )
 
-    def to_json(self):
-        return {
-            "vars": self.nvars,
-            "dims": list(self.dims),
-            "matrices": [
-                [[q.to_json() for q in row] for row in m] for m in self.mats
-            ],
-        }
-
     @classmethod
     def from_json(cls, doc):
         nvars = _json_int(doc["vars"])
@@ -498,19 +489,12 @@ def _one(d):
     return LaurentPoly.constant(d, 1)
 
 
-@_builtin
 def circle_complex():
-    t = _var(1, 0)
-    return TwistedComplex(1, (1, 1), [[[t - _one(1)]]])
+    return wedge_complex(1)
 
 
-@_builtin
 def torus_complex():
-    t1, t2 = _var(2, 0), _var(2, 1)
-    one = _one(2)
-    d0 = [[t1 - one], [t2 - one]]
-    d1 = [[one - t2, t1 - one]]
-    return TwistedComplex(2, (1, 2, 1), [d0, d1])
+    return surface_complex(1)
 
 
 @_builtin

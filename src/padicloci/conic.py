@@ -54,13 +54,6 @@ class WeightedAction:
         """The point alpha**n . x."""
         return self.act(self.alpha ** n, point)
 
-    def to_json(self):
-        return {
-            "p": self.p,
-            "weights": list(self.weights),
-            "alpha": self.alpha.to_json(),
-        }
-
     @classmethod
     def from_json(cls, doc):
         weights = [_json_int(w) for w in doc["weights"]]
@@ -83,12 +76,6 @@ class AnalyticLocus:
         for g in self.equations:
             if g.disc != disc:
                 raise ValueError("every equation must live on the locus disc")
-
-    def to_json(self):
-        return {
-            "disc": self.disc.to_json(),
-            "equations": [g.to_json() for g in self.equations],
-        }
 
     @classmethod
     def from_json(cls, doc):

@@ -71,14 +71,6 @@ class BinomialSystem:
         self.dim = dim
         self.equations = tuple(eqs)
 
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "equations": [
-                {"exponents": list(v), "rhs": str(e)} for v, e in self.equations
-            ],
-        }
-
     @classmethod
     def from_json(cls, doc):
         eqs = [

@@ -279,18 +279,26 @@ class CycNumber:
     def root_of_unity_exponent(self):
         """Fraction e with self = zeta**e reduced mod 1, or None.
 
-        The roots of unity in Q(zeta_m) form mu_N with N = m for even m
-        and N = 2m for odd m; a linear scan over mu_N decides membership.
+        Every root of unity in Q(zeta_m) is +-zeta_m**k with 0 <= k < m,
+        and its coordinates are integers.  Under zeta_m -> omega in F_ell,
+        the images +-omega**k of distinct roots are distinct, so the first
+        k whose +-omega**k is the image of self gives the one candidate.
+        An exact comparison confirms it in Q(zeta_m), because lifting a
+        dense self to Q(zeta_2m) would cost phi(m)**2 operations.
         """
+        if any(c.denominator != 1 for c in self.coeffs):
+            return None
         m = self.order
-        n = m if m % 2 == 0 else 2 * m
-        zeta = CycNumber.root_of_unity(Fraction(1, n))
-        cur = CycNumber.from_rational(1).lift(n)
-        target = self.lift(n)
-        for j in range(n):
-            if cur.coeffs == target.coeffs:
-                return Fraction(j, n) % 1
-            cur = cur * zeta
+        ell, omega = modular_root(m)
+        image = self.mod_image(ell, omega)
+        w = 1
+        for k in range(m):
+            if image in (w, ell - w):
+                root = CycNumber.root_of_unity(Fraction(k, m))
+                if image == w:
+                    return Fraction(k, m) if self == root else None
+                return (Fraction(k, m) + Fraction(1, 2)) % 1 if self == -root else None
+            w = w * omega % ell
         return None
 
 

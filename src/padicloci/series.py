@@ -7,7 +7,7 @@ infinite).  All conclusions are certificates at a stated precision:
 zero counting refuses with PrecisionError whenever stored coefficient
 precision or the tail bound cannot justify the answer, and never guesses.
 
-Radii are p**-m with integer m >= 0.
+Discs are |x_i| <= p**-m about the origin, with integer m >= 0.
 """
 
 from fractions import Fraction
@@ -24,41 +24,31 @@ from .padic import (
 
 
 class PolyDisc:
-    __slots__ = ("p", "dim", "radius_exp", "center")
+    __slots__ = ("p", "dim", "radius_exp")
 
-    def __init__(self, p, dim, radius_exp, center=None):
+    def __init__(self, p, dim, radius_exp):
         check_prime(p)
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         if radius_exp < 0:
             raise ValueError("radius exponent must be >= 0 (radius <= 1)")
-        if center is not None:
-            center = tuple(center)
-            if len(center) != dim:
-                raise ValueError("center arity mismatch")
         self.p = p
         self.dim = dim
         self.radius_exp = radius_exp
-        self.center = center
 
     def __eq__(self, other):
         if not isinstance(other, PolyDisc):
             return NotImplemented
-        return (
-            (self.p, self.dim, self.radius_exp, self.center)
-            == (other.p, other.dim, other.radius_exp, other.center)
-        )
+        return (self.p, self.dim, self.radius_exp) == (other.p, other.dim, other.radius_exp)
 
     def __repr__(self):
         return "PolyDisc(p=%d, dim=%d, radius_exp=%d)" % (self.p, self.dim, self.radius_exp)
 
     def check_contains(self, point):
-        """Raise unless |x_i - y_i| <= p**-radius_exp is certain for all i."""
+        """Raise unless |x_i| <= p**-radius_exp is certain for all i."""
         if len(point) != self.dim:
             raise ValueError("point arity mismatch")
         for i, x in enumerate(point):
-            if self.center is not None:
-                x = x - self.center[i]
             if x.norm_exponent() < self.radius_exp:
                 if x.valuation is None:
                     raise PrecisionError(
@@ -70,18 +60,11 @@ class PolyDisc:
                     % (i, x.valuation, self.radius_exp)
                 )
 
-    def to_json(self):
-        doc = {"p": self.p, "dim": self.dim, "radius_exp": self.radius_exp}
-        if self.center is not None:
-            doc["center"] = [c.to_json() for c in self.center]
-        return doc
-
     @classmethod
     def from_json(cls, doc):
-        center = None
-        if doc.get("center") is not None:
-            center = [scalar_from_json(c) for c in doc["center"]]
-        return cls(*(_json_int(doc[k]) for k in ("p", "dim", "radius_exp")), center)
+        if "center" in doc:
+            raise ValueError("discs are centered at 0; a 'center' field is not accepted")
+        return cls(*(_json_int(doc[k]) for k in ("p", "dim", "radius_exp")))
 
 
 class AnalyticSeries:
@@ -124,13 +107,10 @@ class AnalyticSeries:
         series at the point.
         """
         self.disc.check_contains(point)
-        shifted = list(point)
-        if self.disc.center is not None:
-            shifted = [x - y for x, y in zip(point, self.disc.center)]
         total = None
         for exp, coeff in self.terms.items():
             val = coeff
-            for x, e in zip(shifted, exp):
+            for x, e in zip(point, exp):
                 if e:
                     val = val * x ** e
             total = val if total is None else total + val
@@ -145,17 +125,7 @@ class AnalyticSeries:
             total = total.truncate_abs(self.tail_exp)
         return total
 
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "disc": self.disc.to_json(),
-            "terms": [
-                {"exp": list(exp), "coeff": self.terms[exp].to_json()}
-                for exp in sorted(self.terms)
-            ],
-            "tail_exp": self.tail_exp,
-        }
+    # -- decoding ---------------------------------------------------------------
 
     @classmethod
     def from_json(cls, doc):
@@ -318,8 +288,6 @@ def restrict_to_orbit(f, point, weights):
     because |x**J| <= rho**|J| inside the disc and the ultrametric
     collapse of each collected sum only helps.
     """
-    if f.disc.center is not None:
-        raise ValueError("orbit restriction needs a disc centered at 0")
     if len(weights) != f.disc.dim or any(w < 1 or w != int(w) for w in weights):
         raise ValueError("weights must be positive integers, one per coordinate")
     f.disc.check_contains(point)

@@ -264,7 +264,7 @@ def test_criterion_5_binomial_solver_completeness(criterion):
 
 
 def _echelon_system(rng, d):
-    """Random system whose component orders divide 24.
+    """Document of a random system whose component orders divide 24.
 
     Unit pivots keep back substitution from inflating denominators, so
     every torsion point stays within reach of an order-2 residue field.
@@ -277,8 +277,8 @@ def _echelon_system(rng, d):
         v[col] = rng.randrange(1, 3) if m == 1 else 1
         for j in range(col + 1, d):
             v[j] = rng.randrange(-3, 4)
-        eqs.append((v, F(rng.randrange(0, 12), 12)))
-    return BinomialSystem(d, eqs)
+        eqs.append({"exponents": v, "rhs": "%d/12" % rng.randrange(0, 12)})
+    return {"dim": d, "equations": eqs}
 
 
 def test_criterion_6_torsion_certificates_verify(criterion):
@@ -293,7 +293,8 @@ def test_criterion_6_torsion_certificates_verify(criterion):
     nontrivial_orders = 0
     while systems_done < 50:
         d = rng.randrange(1, 4)
-        system = _echelon_system(rng, d)
+        system_doc = _echelon_system(rng, d)
+        system = BinomialSystem.from_json(system_doc)
         comps = solve_binomial(system)
         if rng.randrange(4) == 0 and d == 2:
             auto = [[0, 1], [1, 0]]
@@ -316,7 +317,7 @@ def test_criterion_6_torsion_certificates_verify(criterion):
             ["verify"],
             {
                 "kind": "certificates",
-                "system": system.to_json(),
+                "system": system_doc,
                 "automorphism": auto,
                 "certificates": certs,
             },

@@ -235,12 +235,13 @@ def test_verify_solve_walks_a_near_cap_grid_quickly(
 ):
     # 58**3 and 447**2 are just under the grid cap; each point is one
     # membership test per component
-    system = BinomialSystem(len(exponents), [(exponents, Fraction(rhs))])
+    system_doc = {"dim": len(exponents), "equations": [{"exponents": exponents, "rhs": rhs}]}
+    system = BinomialSystem.from_json(system_doc)
     comps = solve_binomial(system)
     assert len(comps) == count and order ** system.dim <= _VERIFY_GRID_CAP
     vdoc = {
         "kind": "solve",
-        "system": system.to_json(),
+        "system": system_doc,
         "components": [c.to_json() for c in comps],
         "order_bound": order,
     }
@@ -282,11 +283,11 @@ def stdout_of(argv, doc):
 
 
 @st.composite
-def binomial_systems(draw, d, sizes=(0, 2)):
+def binomial_system_docs(draw, d, sizes=(0, 2)):
     vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
-    rhs = st.builds(Fraction, st.integers(0, 11), st.sampled_from((1, 2, 3, 4, 6)))
-    eqs = st.lists(st.tuples(vec, rhs), min_size=sizes[0], max_size=sizes[1])
-    return BinomialSystem(d, draw(eqs))
+    rhs = st.builds("{}/{}".format, st.integers(0, 11), st.sampled_from((1, 2, 3, 4, 6)))
+    eq = st.fixed_dictionaries({"exponents": vec, "rhs": rhs})
+    return {"dim": d, "equations": draw(st.lists(eq, min_size=sizes[0], max_size=sizes[1]))}
 
 
 # most grid points one example walks, so 150 examples of the Fraction
@@ -308,19 +309,21 @@ def test_verify_solve_matches_the_fraction_grid(data):
     kind = data.draw(st.sampled_from(("solved", "dropped", "duplicated", "foreign")))
     # a foreign component is mostly off the solutions of a pinned system
     sizes = (1, 2) if kind == "foreign" else (0, 2)
-    system = data.draw(binomial_systems(d, sizes), label="system")
+    system_doc = data.draw(binomial_system_docs(d, sizes), label="system")
+    system = BinomialSystem.from_json(system_doc)
     comps = solve_binomial(system)
     if kind == "dropped" and comps:
         del comps[data.draw(st.integers(0, len(comps) - 1))]
     elif kind == "duplicated" and comps:
         comps.append(comps[data.draw(st.integers(0, len(comps) - 1))])
     elif kind == "foreign":
-        other = solve_binomial(data.draw(binomial_systems(d, (1, 1)), label="foreign system"))
+        other_doc = data.draw(binomial_system_docs(d, (1, 1)), label="foreign system")
+        other = solve_binomial(BinomialSystem.from_json(other_doc))
         if other:
             comps.append(data.draw(st.sampled_from(other), label="foreign component"))
     doc = {
         "kind": "solve",
-        "system": system.to_json(),
+        "system": system_doc,
         "components": [c.to_json() for c in comps],
         "order_bound": order,
     }
@@ -341,16 +344,16 @@ def test_verify_counts(monkeypatch, capsys):
 def certified_conic(monkeypatch, capsys):
     """A verify kind=conic document for the graph y = x^2, with the
     certificate that conic-check issued for it."""
-    from rational_loci import rational_locus
-
-    from padicloci.laurent import LaurentPoly
-    from padicloci.series import PolyDisc
-
-    graph = LaurentPoly.variable(2, 1) - LaurentPoly.variable(2, 0, 2)
-    locus = rational_locus(PolyDisc(5, 2, 0), [graph], 24)
+    disc = {"p": 5, "dim": 2, "radius_exp": 0}
+    one, minus_one = (PadicScalar.from_int(5, c, 24).to_json() for c in (1, -1))
+    graph = {
+        "disc": disc,
+        "terms": [{"exp": [0, 1], "coeff": one}, {"exp": [2, 0], "coeff": minus_one}],
+        "tail_exp": None,
+    }
     c = PadicScalar.from_int(5, 2, 24)
     doc = {
-        "locus": locus.to_json(),
+        "locus": {"disc": disc, "equations": [graph]},
         "action": {
             "p": 5,
             "weights": [1, 2],
@@ -368,6 +371,31 @@ def test_verify_conic_round_trip(monkeypatch, capsys):
     vdoc = certified_conic(monkeypatch, capsys)
     code, out, _ = run_cli(["verify"], vdoc, monkeypatch, capsys)
     assert code == 0 and out["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "cmd, kind",
+    [
+        ("strassmann", "counts"),
+        ("newton", "counts"),
+        ("verify", "counts"),
+        ("conic-check", "conic"),
+        ("verify", "conic"),
+    ],
+)
+def test_a_disc_with_a_center_exits_two(cmd, kind, monkeypatch, capsys):
+    # discs are centered at 0: a center field is malformed input, never ignored
+    if kind == "conic":
+        doc = certified_conic(monkeypatch, capsys)
+        owner = doc["locus"]
+    else:
+        doc = {"kind": "counts", "series": series_doc(5, [125, 5, 0, 1]), "count": 3}
+        owner = doc["series"]
+    five = PadicScalar.from_int(5, 5, 24).to_json()
+    owner["disc"] = dict(owner["disc"], center=[five] * owner["disc"]["dim"])
+    code, out, err = run_cli([cmd], doc, monkeypatch, capsys)
+    assert code == 2 and out is None
+    assert "center" in err
 
 
 @pytest.mark.parametrize(
@@ -960,6 +988,17 @@ def test_fitting_lists_a_generator_once_whatever_order_its_coefficients_carry(
     assert code == 0 and out["count"] == 1
 
 
+def test_fitting_names_a_root_of_a_large_order_quickly(monkeypatch, capsys, time_budget):
+    # the generator of [zeta_1601 - t] is 1 - zeta_1601**-1 t, whose
+    # coefficient -zeta_1601**1600 has 1600 nonzero coordinates
+    cell = [{"coeff": {"root": "1/1601"}, "exp": [0]}, {"coeff": "-1", "exp": [1]}]
+    doc = {"complex": {"vars": 1, "dims": [1, 1], "matrices": [[[cell]]]}, "i": 0, "j": 0}
+    with time_budget(2):
+        code, out, _ = run_cli(["fitting"], doc, monkeypatch, capsys)
+    generator = [{"coeff": "1", "exp": [0]}, {"coeff": {"root": "1599/3202"}, "exp": [1]}]
+    assert code == 0 and out == {"count": 1, "generators": [generator]}
+
+
 # -- builtin complexes: built once per process, and capped --------------------
 
 
@@ -1014,7 +1053,7 @@ def _cli_bytes(cmd, doc, monkeypatch, capsys):
 
 
 def test_two_documents_on_one_builtin_share_one_instance(monkeypatch, capsys):
-    complexes.torus_complex.cache_clear()
+    complexes.surface_complex.cache_clear()
     checks = [0]
     check = complexes.TwistedComplex._check_composite
 

@@ -430,10 +430,31 @@ def test_complex_rejects_shape_mismatches():
         TwistedComplex(1, (0, 1), [[[t]]])
 
 
+def _binomial_cell(plus, minus):
+    return [{"coeff": "1", "exp": plus}, {"coeff": "-1", "exp": minus}]
+
+
 def test_complex_json_round_trip():
+    t1, t2, one = [1, 0], [0, 1], [0, 0]
+    doc = {
+        "vars": 2,
+        "dims": [1, 2, 1],
+        "matrices": [
+            [[_binomial_cell(t1, one)], [_binomial_cell(t2, one)]],
+            [[_binomial_cell(one, t2), _binomial_cell(t1, one)]],
+        ],
+    }
+    back = TwistedComplex.from_json(doc)
     tor = torus_complex()
-    back = TwistedComplex.from_json(tor.to_json())
-    assert back.dims == tor.dims and back.nvars == tor.nvars
+    assert (back.nvars, back.dims, back.mats) == (tor.nvars, tor.dims, tor.mats)
     assert specialize(back, (F(1, 3), F(2, 3))) == (0, 0, 0)
+    # without dims, the module ranks are read off the matrix shapes
+    doc = {"vars": 2, "matrices": [[[_binomial_cell(t1, one)], [_binomial_cell(t2, one)]]]}
     w = wedge_complex(2)
-    assert TwistedComplex.from_json(w.to_json()).dims == w.dims
+    back = TwistedComplex.from_json(doc)
+    assert (back.dims, back.mats) == (w.dims, w.mats)
+
+
+def test_circle_and_torus_are_the_genus_one_builtins():
+    assert circle_complex() is wedge_complex(1)
+    assert torus_complex() is surface_complex(1)

@@ -40,7 +40,8 @@ def test_weighted_action_basics():
     assert coset_eq(moved[0], beta * c)
     assert coset_eq(moved[1], beta * beta * c)
     assert coset_eq(a.orbit_point(2, (c, c))[0], a.alpha ** 2 * c)
-    b = WeightedAction.from_json(a.to_json())
+    doc = {"p": P, "weights": [1, 2], "alpha": a.alpha.to_json()}
+    b = WeightedAction.from_json(doc)
     assert b.weights == a.weights and b.alpha == a.alpha and b.p == a.p
 
 
@@ -55,7 +56,13 @@ def test_weighted_action_rejects_bad_generators():
 
 def test_locus_construction_and_json():
     S = locus([GRAPH])
-    back = AnalyticLocus.from_json(S.to_json())
+    disc = {"p": P, "dim": 2, "radius_exp": 0}
+    one, minus_one = (PadicScalar.from_int(P, c, PREC).to_json() for c in (1, -1))
+    graph = {
+        "disc": disc,
+        "terms": [{"exp": [0, 1], "coeff": one}, {"exp": [2, 0], "coeff": minus_one}],
+    }
+    back = AnalyticLocus.from_json({"disc": disc, "equations": [graph]})
     assert back.disc == S.disc
     assert [g.terms for g in back.equations] == [g.terms for g in S.equations]
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from padicloci.cyclotomic import (
     cyc_from_json,
     cyc_to_json,
     cyclotomic_poly,
+    modular_root,
 )
 
 
@@ -140,6 +141,51 @@ def test_root_of_unity_exponent_detection():
     # sums of distinct roots are not roots
     mix = CycNumber.root_of_unity(Fraction(1, 4)) + CycNumber.root_of_unity(Fraction(1, 3))
     assert mix.root_of_unity_exponent() is None
+
+
+def root_exponent_by_scan(x):
+    """Oracle for `root_of_unity_exponent`: the roots of unity in Q(zeta_m)
+    form mu_N (N = m for even m, 2m for odd m), and x is compared with
+    each power of zeta_N in turn."""
+    m = x.order
+    n = m if m % 2 == 0 else 2 * m
+    zeta = CycNumber.root_of_unity(Fraction(1, n))
+    cur = CycNumber.from_rational(1).lift(n)
+    target = x.lift(n)
+    for j in range(n):
+        if cur.coeffs == target.coeffs:
+            return Fraction(j, n) % 1
+        cur = cur * zeta
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 60),
+    k=st.integers(0, 59),
+    other=st.integers(0, 59),
+    kind=st.sampled_from(
+        ("root", "negative", "double", "plus one", "sum", "root plus ell", "negative plus ell")
+    ),
+)
+def test_root_of_unity_exponent_matches_the_scan(m, k, other, kind):
+    # roots and their negatives are found; 2 zeta is not a root, while
+    # 1 + zeta and a sum of two roots are roots only in a few fields
+    # (1 + zeta_3 = -zeta_3**2), which the scan decides.  Adding ell keeps
+    # the image in F_ell of a root but not the root itself.
+    z = CycNumber.root_of_unity(Fraction(k, m)).lift(m)
+    ell = modular_root(m)[0]
+    x = {
+        "root": lambda: z,
+        "negative": lambda: -z,
+        "double": lambda: 2 * z,
+        "plus one": lambda: z + 1,
+        "sum": lambda: z + CycNumber.root_of_unity(Fraction(other, m)),
+        "root plus ell": lambda: z + ell,
+        "negative plus ell": lambda: ell - z,
+    }[kind]().lift(m)
+    assert x.order == m
+    assert x.root_of_unity_exponent() == root_exponent_by_scan(x)
 
 
 def test_lift_and_equality_across_orders():

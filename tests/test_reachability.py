@@ -18,11 +18,15 @@ Laurent polynomials.
 """
 
 import ast
+import importlib
+import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
 import padicloci
+from padicloci import cli
 
 PACKAGE = Path(padicloci.__file__).parent
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -174,3 +178,41 @@ def test_a_method_named_nowhere_is_reported(monkeypatch):
         "complexes.TwistedComplex.stray_method",
         "complexes.TwistedComplex.euler",
     ]
+
+
+def unexecuted_serializers():
+    """Every `to_json` defined on a class of the package that `demo` never
+    runs.  The name check above takes any method named `to_json` as a use
+    of all of them; this one follows the calls `demo` actually makes."""
+    serializers = {}
+    for info in pkgutil.iter_modules(padicloci.__path__):
+        module = importlib.import_module("padicloci." + info.name)
+        for name, obj in sorted(vars(module).items()):
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                method = vars(obj).get("to_json")
+                if method is not None:
+                    serializers[method.__code__] = "%s.%s.to_json" % (info.name, name)
+    ran = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    old = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        assert cli.main(["demo"]) == 0
+    finally:
+        sys.setprofile(old)
+    return [name for code, name in serializers.items() if code not in ran]
+
+
+def test_every_serializer_runs_in_the_demo(capsys):
+    assert unexecuted_serializers() == []
+
+
+def test_a_serializer_the_demo_never_runs_is_reported(monkeypatch, capsys):
+    from padicloci.series import PolyDisc
+
+    monkeypatch.setattr(PolyDisc, "to_json", lambda self: {}, raising=False)
+    assert unexecuted_serializers() == ["series.PolyDisc.to_json"]

@@ -50,10 +50,14 @@ def test_series_keeps_zero_coset_coefficients():
 
 def test_series_json_round_trip():
     f = poly_series(7, [2, 0, -3], prec=6)
-    g = AnalyticSeries.from_json(f.to_json())
+    terms = [
+        {"exp": [n], "coeff": PadicScalar.from_int(7, c, 6).to_json()} for n, c in ((0, 2), (2, -3))
+    ]
+    doc = {"disc": {"p": 7, "dim": 1, "radius_exp": 0}, "terms": terms, "tail_exp": None}
+    g = AnalyticSeries.from_json(doc)
     assert g.disc == f.disc and g.terms == f.terms and g.tail_exp is None
-    h = AnalyticSeries(PolyDisc(7, 1, 1), f.terms, tail_exp=9)
-    assert AnalyticSeries.from_json(h.to_json()).tail_exp == 9
+    h = AnalyticSeries.from_json(dict(doc, disc=dict(doc["disc"], radius_exp=1), tail_exp=9))
+    assert h.disc == PolyDisc(7, 1, 1) and h.terms == f.terms and h.tail_exp == 9
 
 
 # -- zero counting ------------------------------------------------------------
