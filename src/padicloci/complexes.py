@@ -423,17 +423,19 @@ def fitting_locus(cplx, i, j):
 
 
 def _binomial_equation(q):
-    """Equation (v, e) meaning t**v = zeta_e, or None if not binomial."""
+    """Equation (v, e) meaning t**v = zeta_e, or None if not binomial.
+
+    q must come from `_normalize_associate`: t**e0 + c t**e1 with c =
+    zeta**a vanishes where t**(e1 - e0) = -1/c = zeta**(1/2 - a)."""
     items = q.sorted_terms()
     if len(items) != 2:
         return None
-    (e0, c0), (e1, c1) = items
-    ratio = -(c0 / c1)
-    root = ratio.root_of_unity_exponent()
+    (e0, _), (e1, c) = items
+    root = c.root_of_unity_exponent()
     if root is None:
         return None
     v = tuple(x - y for x, y in zip(e1, e0))
-    return (v, root)
+    return (v, (Fraction(1, 2) - root) % 1)
 
 
 def shape_check(generators, nvars=None, scan=None):

@@ -29,7 +29,6 @@ from .intlinalg import (
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
-    lattice_solve,
     mat_vec,
     smith_normal_form,
     transpose,
@@ -267,21 +266,13 @@ def _check_unimodular(auto, d):
 def sigma_stable(coset, auto):
     """Whether the monomial map with character action v -> v A fixes the coset.
 
-    Every basis character must land back inside the lattice with the
-    same pinned value.  One inclusion is enough: a unimodular map that
-    sends a saturated lattice into itself restricts to an automorphism
-    of it, because its determinant splits over the sublattice and the
-    torsion-free quotient.
+    The transported pins (v A, zeta(v)) cut out the image coset, still
+    saturated because A is unimodular, and cosets in canonical form are
+    equal exactly when they are the same set.
     """
     a = _check_unimodular(auto, coset.ambient)
-    for row, val in zip(coset.basis, coset.translate):
-        image = vec_mat(list(row), a)
-        coeffs = lattice_solve(coset.basis, image)
-        if coeffs is None:
-            return False
-        if sum(c * t for c, t in zip(coeffs, coset.translate)) % 1 != val:
-            return False
-    return True
+    moved = [vec_mat(list(row), a) for row in coset.basis]
+    return TorsionCoset(coset.ambient, moved, coset.translate) == coset
 
 
 # ---------------------------------------------------------------------------

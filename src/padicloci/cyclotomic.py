@@ -77,15 +77,17 @@ def cyclotomic_poly(m):
 def _mod_cyclotomic(coeffs, m):
     phi = list(cyclotomic_poly(m))
     deg = len(phi) - 1
-    a = [Fraction(c) for c in coeffs]
+    # Fraction(c) only for a c that is neither a Fraction nor 0: a float stays exact
+    zero = Fraction(0)
+    a = [c if type(c) is Fraction else Fraction(c) if c else zero for c in coeffs]
     for k in range(len(a) - 1, deg - 1, -1):
         c = a[k]
         if c:
-            a[k] = Fraction(0)
+            a[k] = zero
             for i in range(deg):
                 a[k - deg + i] -= c * phi[i]
     a = a[:deg]
-    a += [Fraction(0)] * (deg - len(a))
+    a += [zero] * (deg - len(a))
     return tuple(a)
 
 
@@ -139,9 +141,7 @@ class CycNumber:
     def root_of_unity(cls, frac):
         """zeta_n**c for frac = c/n, reduced mod 1."""
         frac = Fraction(frac) % 1
-        n = frac.denominator
-        mono = [Fraction(0)] * frac.numerator + [Fraction(1)]
-        return cls(n, mono)
+        return cls(frac.denominator, [0] * frac.numerator + [1])
 
     def lift(self, big):
         if big % self.order:
@@ -149,9 +149,8 @@ class CycNumber:
         if big == self.order:
             return self
         k = big // self.order
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
-        for i, a in enumerate(self.coeffs):
-            out[i * k] = a
+        out = [0] * ((len(self.coeffs) - 1) * k + 1)
+        out[::k] = self.coeffs
         return CycNumber(big, out)
 
     def _common(self, other):

@@ -190,26 +190,6 @@ def hermite_normal_form(rows, values=None):
     return basis, None, None
 
 
-def lattice_solve(hnf_rows, target):
-    """Integer coefficients expressing ``target`` over a Hermite basis, or None."""
-    residual = list(target)
-    coeffs = []
-    m = len(target)
-    for row in hnf_rows:
-        c = next((j for j in range(m) if row[j]), None)
-        if c is None:
-            raise ValueError("zero row in Hermite basis")
-        if residual[c] % row[c]:
-            return None
-        q = residual[c] // row[c]
-        coeffs.append(q)
-        for j in range(m):
-            residual[j] -= q * row[j]
-    if any(residual):
-        return None
-    return coeffs
-
-
 def integer_kernel(mat, ncols=None):
     """Basis of the right kernel {x : mat @ x == 0}, saturated by construction."""
     n = len(mat)

@@ -112,6 +112,17 @@ def int_valuation(n, p):
     return v, n
 
 
+# the most working precision, prec * f * log2 p bits, of a lift, exp or log
+_PRECISION_CAP_BITS = 16384
+
+
+def _check_precision(p, f, prec):
+    if prec < 1:
+        raise ValueError("precision must be >= 1")
+    if prec * f * math.log2(p) > _PRECISION_CAP_BITS:
+        raise ValueError("precision %d is over the cap of %d bits" % (prec, _PRECISION_CAP_BITS))
+
+
 def exp_domain_bound(p):
     # convergence disc of the exponential: |x| <= 1/p for odd p, 1/4 for p = 2
     return 2 if p == 2 else 1
@@ -373,6 +384,27 @@ class UnramifiedScalar:
             x.coeff, x.M, x.zprec = coeff, m, None
         return x
 
+    @classmethod
+    def _normalized(cls, p, f, coeffs, shift, n):
+        # p**shift times the integer vector coeffs, known mod p**n, as p**v
+        # times a unit vector mod p**(n - v), or else the zero coset O(p**n)
+        k = n - shift
+        if k > 0:
+            pk = p ** k
+            coeffs = [c % pk for c in coeffs]
+            vmin = min([int_valuation(c, p)[0] for c in coeffs if c] + [k])
+            if vmin < k:
+                pv, pm = p ** vmin, p ** (k - vmin)
+                return cls._new(p, f, shift + vmin, tuple(c // pv % pm for c in coeffs), k - vmin)
+        return cls._new(p, f, None, None, n)
+
+    @classmethod
+    def _from_rational(cls, p, f, q, n):
+        # the rational q in Q_{p^f}, known mod p**n
+        vd, ud = int_valuation(q.denominator, p)
+        unit = q.numerator * pow(ud, -1, p ** max(n + vd, 0))
+        return cls._normalized(p, f, (unit,) + (0,) * (f - 1), -vd, n)
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -436,10 +468,7 @@ class UnramifiedScalar:
         """The same coset coarsened to absolute precision n."""
         if n > self.abs_prec:
             raise PrecisionError("cannot refine precision from %d to %d" % (self.abs_prec, n))
-        if self.v is None or self.v >= n:
-            return self._new(self.p, self.f, None, None, n)
-        pm = self.p ** (n - self.v)
-        return self._new(self.p, self.f, self.v, tuple(c % pm for c in self.coeff), n - self.v)
+        return self._normalized(self.p, self.f, self.coeff, self.norm_exponent(), n)
 
     def __eq__(self, other):
         if not isinstance(other, UnramifiedScalar):
@@ -473,16 +502,7 @@ class UnramifiedScalar:
         rationals enter at whatever absolute precision self carries."""
         p, f = self.p, self.f
         if isinstance(other, (int, Fraction)):
-            q, n = Fraction(other), self.abs_prec
-            if q:
-                vn, un = int_valuation(q.numerator, p)
-                vd, ud = int_valuation(q.denominator, p)
-                m = n - vn + vd
-                if m > 0:
-                    pm = p ** m
-                    unit = (un * pow(ud, -1, pm) % pm,) + (0,) * (f - 1)
-                    return self, self._new(p, f, vn - vd, unit, m), type(self)
-            return self, self._new(p, f, None, None, n), type(self)
+            return self, self._from_rational(p, f, Fraction(other), self.abs_prec), type(self)
         if not isinstance(other, UnramifiedScalar):
             return None
         if other.p != p:
@@ -512,14 +532,7 @@ class UnramifiedScalar:
                 scale = p ** (t.v - shift)
                 for i, c in enumerate(t.coeff):
                     total[i] += scale * c
-        pn = p ** (n - shift)
-        total = [c % pn for c in total]
-        vmin = min([int_valuation(c, p)[0] for c in total if c] + [n - shift])
-        v = vmin + shift
-        if v >= n:
-            return cls._new(p, f, None, None, n)
-        pm = p ** (n - v)
-        return cls._new(p, f, v, tuple((c // p ** vmin) % pm for c in total), n - v)
+        return cls._normalized(p, f, total, shift, n)
 
     __radd__ = __add__
 
@@ -578,12 +591,9 @@ class UnramifiedScalar:
         p = self.p
         vn, un = int_valuation(q.numerator, p)
         vd, ud = int_valuation(q.denominator, p)
-        if self.v is None:
-            return self._new(p, self.f, None, None, self.zprec - vn + vd)
-        pm = p ** self.M
-        scale = (pow(un, -1, pm) * ud) % pm
-        unit = tuple((c * scale) % pm for c in self.coeff)
-        return self._new(p, self.f, self.v - vn + vd, unit, self.M)
+        scale, shift = pow(un, -1, p ** self.M) * ud, vd - vn
+        coeffs = [c * scale for c in self.coeff]
+        return self._normalized(p, self.f, coeffs, self.norm_exponent() + shift, self.abs_prec + shift)
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -634,11 +644,9 @@ class PadicScalar(UnramifiedScalar):
         q = Fraction(q)
         if rel_prec < 1:
             raise ValueError("relative precision must be >= 1")
-        if q == 0:
-            return cls.zero_at(p, rel_prec)
-        vn, un = int_valuation(q.numerator, p)
-        vd, ud = int_valuation(q.denominator, p)
-        return cls(p, vn - vd, un * pow(ud, -1, p ** rel_prec), rel_prec)
+        check_prime(p)
+        v = int_valuation(q.numerator, p)[0] - int_valuation(q.denominator, p)[0] if q else 0
+        return cls._from_rational(p, 1, q, v + rel_prec)
 
     @classmethod
     def from_int(cls, p, n, rel_prec):
@@ -764,9 +772,8 @@ def teichmuller(xi, prec):
     """
     if xi.is_zero():
         raise ValueError("zero has no multiplicative lift")
-    if prec < 1:
-        raise ValueError("precision must be >= 1")
     p, f = xi.p, xi.f
+    _check_precision(p, f, prec)
     h = modulus_poly(p, f)
     pm = p ** prec
     q = p ** f
@@ -927,8 +934,7 @@ def padic_exp(x, prec=None):
     p, f = x.p, x.f
     avail = x.abs_prec
     n = avail if prec is None else prec
-    if n < 1:
-        raise ValueError("target precision must be >= 1")
+    _check_precision(p, f, n)
     if n > avail:
         raise PrecisionError("exp target precision %d exceeds input precision %d" % (n, avail))
     if x.v is None or x.v >= n:
@@ -963,8 +969,7 @@ def padic_log(x, prec=None):
     z = x - 1
     avail = x.abs_prec
     n = avail if prec is None else prec
-    if n < 1:
-        raise ValueError("target precision must be >= 1")
+    _check_precision(p, f, n)
     if n > avail:
         raise PrecisionError("log target precision %d exceeds input precision %d" % (n, avail))
     if z.v is None:
@@ -992,16 +997,11 @@ def padic_log(x, prec=None):
         sign = 1 if k % 2 == 1 else -1
         acc[0] = (acc[0] + sign * (lcm // k)) % pm
     acc = _vec_mul_mod(acc, rep, h, pm)
-    pn = p ** n
     pg = p ** guard
     w_inv = _vec_inverse_mod([lcm // pg], p, (0, 1), n)[0]
     out_coeff = []
     for s in acc:
         if s % pg:
             raise AssertionError("lcm guard mismatch; unreachable")
-        out_coeff.append(s // pg * w_inv % pn)
-    vmin = min([int_valuation(c, p)[0] for c in out_coeff if c] + [n])
-    if vmin >= n:
-        return x._new(p, f, None, None, n)
-    pmv = p ** (n - vmin)
-    return x._new(p, f, vmin, tuple(c // p ** vmin % pmv for c in out_coeff), n - vmin)
+        out_coeff.append(s // pg * w_inv)
+    return x._normalized(p, f, out_coeff, 0, n)

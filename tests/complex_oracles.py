@@ -7,6 +7,9 @@ time, a power and a product per variable, each reduced on its own.
 `CycNumber.root_of_unity` of its Q/Z value and evaluates each cell that
 way before the exact rank.  `scan_reference` walks the grid of Fraction
 characters a/m, specializes each in Q/Z form and sorts the hits.
+`binomial_equation_by_division` reads a binomial's root off the
+quotient -(c0 / c1) of its coefficients in Q(zeta_n), as the shape test
+did before it read the root off the normalized second coefficient.
 """
 
 from fractions import Fraction
@@ -55,3 +58,15 @@ def scan_reference(cplx, i, j, order_bound):
             hits.append(char)
     hits.sort()
     return JumpingLocusSample(i, j, m, hits, scanned)
+
+
+def binomial_equation_by_division(q):
+    """Equation (v, e) meaning t**v = zeta_e, or None if not binomial."""
+    items = q.sorted_terms()
+    if len(items) != 2:
+        return None
+    (e0, c0), (e1, c1) = items
+    root = (-(c0 / c1)).root_of_unity_exponent()
+    if root is None:
+        return None
+    return (tuple(x - y for x, y in zip(e1, e0)), root)

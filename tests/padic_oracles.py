@@ -10,8 +10,12 @@ Horner exponential the library used before its blocked one: one series
 over the whole argument, three reductions per term, and the unit part
 of (J-1)! from a second loop.  `_digits_loop` and `_undigits_loop`
 are the one-digit-at-a-time base-p conversions the library used before
-its word-wise divide and conquer.  `rep`, `rep_int`, `from_residue`
-and `to_padic` are scalar conveniences that only tests need.
+its word-wise divide and conquer.  `_add_hand`, `_truncate_abs_hand`,
+`_coerce_rational_hand`, `_divexact_rational_hand`, `_from_fraction_hand`
+and `_log_tail_hand` are the six normalizations the scalar type wrote out
+by hand before they all went through `UnramifiedScalar._normalized`.
+`rep`, `rep_int`, `from_residue` and `to_padic` are scalar conveniences
+that only tests need.
 """
 
 from fractions import Fraction
@@ -248,3 +252,90 @@ def _exp_horner(x, prec=None):
             raise AssertionError("factorial guard mismatch; unreachable")
         out_coeff.append(s // pg * w_inv % pn)
     return x._new(p, f, 0, tuple(out_coeff), n)
+
+
+# -- the hand-written normalizations -----------------------------------------
+
+
+def _add_hand(x, y, cls):
+    """x + y for scalars over one Q_{p^f}, of the result class cls."""
+    p, f = x.p, x.f
+    n = min(x.abs_prec, y.abs_prec)
+    shift = min([t.v for t in (x, y) if t.v is not None] + [n])
+    total = [0] * f
+    for t in (x, y):
+        if t.v is not None:
+            scale = p ** (t.v - shift)
+            for i, c in enumerate(t.coeff):
+                total[i] += scale * c
+    pn = p ** (n - shift)
+    total = [c % pn for c in total]
+    vmin = min([int_valuation(c, p)[0] for c in total if c] + [n - shift])
+    v = vmin + shift
+    if v >= n:
+        return cls._new(p, f, None, None, n)
+    pm = p ** (n - v)
+    return cls._new(p, f, v, tuple((c // p ** vmin) % pm for c in total), n - v)
+
+
+def _truncate_abs_hand(x, n):
+    if n > x.abs_prec:
+        raise PrecisionError("cannot refine precision from %d to %d" % (x.abs_prec, n))
+    if x.v is None or x.v >= n:
+        return x._new(x.p, x.f, None, None, n)
+    pm = x.p ** (n - x.v)
+    return x._new(x.p, x.f, x.v, tuple(c % pm for c in x.coeff), n - x.v)
+
+
+def _coerce_rational_hand(x, other):
+    """The rational other at the absolute precision x carries."""
+    p, f = x.p, x.f
+    q, n = Fraction(other), x.abs_prec
+    if q:
+        vn, un = int_valuation(q.numerator, p)
+        vd, ud = int_valuation(q.denominator, p)
+        m = n - vn + vd
+        if m > 0:
+            pm = p ** m
+            unit = (un * pow(ud, -1, pm) % pm,) + (0,) * (f - 1)
+            return x._new(p, f, vn - vd, unit, m)
+    return x._new(p, f, None, None, n)
+
+
+def _divexact_rational_hand(x, q):
+    q = Fraction(q)
+    if q == 0:
+        raise ZeroDivisionError
+    p = x.p
+    vn, un = int_valuation(q.numerator, p)
+    vd, ud = int_valuation(q.denominator, p)
+    if x.v is None:
+        return x._new(p, x.f, None, None, x.zprec - vn + vd)
+    pm = p ** x.M
+    scale = (pow(un, -1, pm) * ud) % pm
+    unit = tuple((c * scale) % pm for c in x.coeff)
+    return x._new(p, x.f, x.v - vn + vd, unit, x.M)
+
+
+def _from_fraction_hand(p, q, rel_prec):
+    q = Fraction(q)
+    if rel_prec < 1:
+        raise ValueError("relative precision must be >= 1")
+    if q == 0:
+        return PadicScalar.zero_at(p, rel_prec)
+    vn, un = int_valuation(q.numerator, p)
+    vd, ud = int_valuation(q.denominator, p)
+    return PadicScalar(p, vn - vd, un * pow(ud, -1, p ** rel_prec), rel_prec)
+
+
+def _log_tail_hand(x, out_coeff, n):
+    """The log's integer coefficient vector, reduced mod p**n, as a scalar
+    of x's class."""
+    p, f = x.p, x.f
+    pn = p ** n
+    out_coeff = [c % pn for c in out_coeff]
+    vmin = min([int_valuation(c, p)[0] for c in out_coeff if c] + [n])
+    if vmin >= n:
+        return x._new(p, f, None, None, n)
+    pmv = p ** (n - vmin)
+    return x._new(p, f, vmin, tuple(c // p ** vmin % pmv for c in out_coeff), n - vmin)

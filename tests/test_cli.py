@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from padicloci import cli, complexes
 from padicloci.cli import _VERIFY_GRID_CAP, _build_parser, main
 from padicloci.cosets import BinomialSystem, solve_binomial
+from padicloci.cyclotomic import CycNumber
 from padicloci.padic import PadicScalar
 from padicloci.series import _ORBIT_CAP
 
@@ -437,6 +438,27 @@ def test_shape_check_exit_codes(monkeypatch, capsys):
     code, out, _ = run_cli(["shape-check"], bad, monkeypatch, capsys)
     assert code == 1
     assert out["verdict"].startswith("shape undetermined")
+
+
+def test_shape_check_divides_no_cyclotomic_number(monkeypatch, capsys):
+    # each binomial is normalized to a first coefficient 1, so its root is
+    # read off the second coefficient with no quotient in Q(zeta_n)
+    def refuse(self, other):
+        raise AssertionError("CycNumber division in shape-check")
+
+    root_pair = [{"coeff": {"root": "1/3"}, "exp": [0, 0]}, {"coeff": {"root": "1/4"}, "exp": [1, 2]}]
+    general = [{"coeff": {"order": 5, "coeffs": ["1", "2"]}, "exp": [0, 0]}, {"coeff": "3", "exp": [0, 1]}]
+    docs = [
+        {"vars": 2, "generators": [root_pair]},
+        {"vars": 2, "generators": [root_pair, general]},
+        {"complex": {"builtin": "torus"}, "i": 1, "j": 0},
+    ]
+    want = [run_cli(["shape-check"], doc, monkeypatch, capsys)[:2] for doc in docs]
+    assert [code for code, _ in want] == [0, 1, 0]
+    monkeypatch.setattr(CycNumber, "__truediv__", refuse)
+    monkeypatch.setattr(CycNumber, "__rtruediv__", refuse)
+    for doc, (code, out) in zip(docs, want):
+        assert run_cli(["shape-check"], doc, monkeypatch, capsys)[:2] == (code, out)
 
 
 def test_cohomology_scan_and_fitting_commands(monkeypatch, capsys):

@@ -2,12 +2,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicloci.complexes import (
     SIZE_LIMIT_MESSAGE,
     TwistedComplex,
+    _binomial_equation,
+    _normalize_associate,
     circle_complex,
     fitting_locus,
     scan_torsion,
@@ -22,7 +24,12 @@ from padicloci.cosets import TorsionCoset, enumerate_torsion
 from padicloci.cyclotomic import CycNumber, modular_root
 from padicloci.laurent import LaurentPoly
 
-from complex_oracles import evaluate, scan_reference, specialize_exact_reference
+from complex_oracles import (
+    binomial_equation_by_division,
+    evaluate,
+    scan_reference,
+    specialize_exact_reference,
+)
 
 F = Fraction
 
@@ -410,6 +417,43 @@ def test_shape_with_root_of_unity_ratio():
     assert len(v["cosets"]) == 2
     membership = {TorsionCoset.from_json(d).contains((F(1, 6),)) for d in v["cosets"]}
     assert membership == {True, False}
+
+
+@st.composite
+def _coefficients(draw):
+    """A nonzero rational, a root of unity times a rational, or a general
+    element of a small cyclotomic field."""
+    kind = draw(st.sampled_from(("rational", "root", "general")))
+    if kind == "rational":
+        num = draw(st.integers(-5, 5).filter(bool))
+        return CycNumber.from_rational(F(num, draw(st.integers(1, 5))))
+    if kind == "root":
+        n = draw(st.integers(1, 30))
+        z = CycNumber.root_of_unity(F(draw(st.integers(0, n - 1)), n))
+        return z * draw(st.sampled_from((1, -1, F(1, 2), -2)))
+    n = draw(st.integers(1, 16))
+    c = CycNumber(n, draw(st.lists(st.integers(-3, 3), min_size=1, max_size=n)))
+    assume(not c.is_zero())
+    return c
+
+
+_EXPONENTS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coefficients(), _coefficients(), _EXPONENTS, _EXPONENTS)
+def test_binomial_roots_match_the_division_route(c0, c1, e0, e1):
+    assume(e0 != e1)
+    g = LaurentPoly(2, {e0: c0, e1: c1})
+    assert _binomial_equation(_normalize_associate(g)) == binomial_equation_by_division(g)
+
+
+def test_binomial_roots_of_roots_of_unity_are_found():
+    # t**2 - zeta_3: the root 1/3; 2 t + zeta_5: zeta_5 / 2 is no root of unity
+    z3, z5 = CycNumber.root_of_unity(F(1, 3)), CycNumber.root_of_unity(F(1, 5))
+    g = _normalize_associate(LaurentPoly(1, {(2,): 1, (0,): -z3}))
+    assert _binomial_equation(g) == ((2,), F(1, 3))
+    assert _binomial_equation(_normalize_associate(LaurentPoly(1, {(1,): 2, (0,): z5}))) is None
 
 
 # -- complex construction and serialization -----------------------------------

@@ -23,6 +23,7 @@ from padicloci.intlinalg import (
     vec_mat,
 )
 from padicloci.padic import PadicScalar
+from test_intlinalg import lattice_solve
 
 F = Fraction
 
@@ -149,13 +150,21 @@ def test_torsion_walk_matches_a_brute_force_filter(coset, m):
 
 
 def transform_coset(coset, auto):
-    """The coset pinned by the transported characters v A.
-
-    Dual route to sigma_stable: the coset is stable exactly when its
-    transform normalizes back to itself.
-    """
+    """The coset pinned by the transported characters v A, which
+    sigma_stable compares with the coset itself."""
     rows = [vec_mat(list(row), auto) for row in coset.basis]
     return TorsionCoset(coset.ambient, rows, coset.translate)
+
+
+def sigma_stable_by_solving(coset, auto):
+    """The route sigma_stable took before it compared canonical cosets:
+    each transported basis character v A is solved over the Hermite
+    basis, and the value it carries there must be zeta(v)."""
+    for row, val in zip(coset.basis, coset.translate):
+        coeffs = lattice_solve(coset.basis, vec_mat(list(row), auto))
+        if coeffs is None or sum(c * t for c, t in zip(coeffs, coset.translate)) % 1 != val:
+            return False
+    return True
 
 
 def random_unimodular(rng, d):
@@ -232,7 +241,7 @@ def test_sigma_stable_agrees_with_the_transformed_coset():
         for comp in solve_binomial(BinomialSystem(d, eqs)):
             auto = random_unimodular(rng, d)
             stable = sigma_stable(comp, auto)
-            assert stable == (transform_coset(comp, auto) == comp)
+            assert stable == sigma_stable_by_solving(comp, auto)
             outcomes.add(stable)
     assert outcomes == {True, False}
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -236,3 +237,38 @@ def test_equal_rational_values_hash_alike_across_orders():
     z3 = CycNumber.root_of_unity(Fraction(1, 3))
     assert len({CycNumber(2, [1]), CycNumber.from_rational(1), z3 ** 3, 1}) == 1
     assert hash(CycNumber(6, [Fraction(1, 2)])) == hash(Fraction(1, 2))
+
+
+def _fraction_constructions(build):
+    """How many times build() enters Fraction.__new__."""
+    calls = []
+    code = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        build()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_coordinates_that_are_zeros_or_fractions_build_no_fraction():
+    # a root of order 199999 and its lift to order 399998, a vector of
+    # 399995 coordinates that are all Fractions and mostly zeros
+    z = CycNumber.root_of_unity(Fraction(1, 199999))
+    assert _fraction_constructions(lambda: CycNumber.root_of_unity(Fraction(1, 199999))) < 10
+    assert _fraction_constructions(lambda: z.lift(2 * 199999)) < 10
+
+
+def test_coordinates_stay_exact_fractions():
+    # a float goes through Fraction exactly; a zero of any type is Fraction(0)
+    x = CycNumber(5, [0.0, 0.5, 0, Fraction(0)])
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert x.coeffs == (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(0))
+    y = CycNumber(4, [1, 0.0, 2.5, 0])
+    assert all(type(c) is Fraction for c in y.coeffs)
+    assert y.coeffs == (Fraction(-3, 2), Fraction(0))

@@ -3,7 +3,8 @@
 `determinant` (fraction-free Bareiss) and `mat_mul` are the Smith-form
 oracles: U A W = D with U and W of determinant +-1.  `inverse` is
 Gauss-Jordan over Fractions; it gives the W^-1 whose rows the binomial
-solver pins.
+solver pins.  `lattice_solve` writes a vector over a Hermite basis; it
+is the route `sigma_stable` took before it compared canonical cosets.
 """
 
 import random
@@ -18,7 +19,6 @@ from padicloci.intlinalg import (
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
-    lattice_solve,
     mat_vec,
     smith_normal_form,
     transpose,
@@ -66,6 +66,26 @@ def inverse(mat):
             if r != c and f:
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return [row[n:] for row in a]
+
+
+def lattice_solve(hnf_rows, target):
+    """Integer coefficients expressing ``target`` over a Hermite basis, or None."""
+    residual = list(target)
+    coeffs = []
+    m = len(target)
+    for row in hnf_rows:
+        c = next((j for j in range(m) if row[j]), None)
+        if c is None:
+            raise ValueError("zero row in Hermite basis")
+        if residual[c] % row[c]:
+            return None
+        q = residual[c] // row[c]
+        coeffs.append(q)
+        for j in range(m):
+            residual[j] -= q * row[j]
+    if any(residual):
+        return None
+    return coeffs
 
 
 def random_matrix(rng, n, m, lo=-6, hi=6):

@@ -35,7 +35,13 @@ from padicloci.padic import (
 )
 
 from padic_oracles import (
+    _add_hand,
+    _coerce_rational_hand,
     _digits_loop,
+    _divexact_rational_hand,
+    _from_fraction_hand,
+    _log_tail_hand,
+    _truncate_abs_hand,
     _exp_reference,
     _log_reference,
     _undigits_loop,
@@ -504,6 +510,99 @@ def test_log_requires_principal_units():
     # dividing out the multiplicative lift of the residue restores the domain
     fixed = mixed * teichmuller(mixed.residue(), 6).inverse()
     assert coset_eq(to_padic(padic_log(fixed)), padic_log(u))
+
+
+# -- the one normalizer ------------------------------------------------------
+
+
+@st.composite
+def _scalars(draw, p, f):
+    """A scalar of Q_{p^f}: a zero coset (at any absolute precision,
+    negative too) or p**v times a unit vector, as either class at f = 1."""
+    cls = PadicScalar if f == 1 and draw(st.booleans()) else UnramifiedScalar
+    if draw(st.integers(0, 3)) == 0:
+        return cls._new(p, f, None, None, draw(st.integers(-6, 8)))
+    m = draw(st.integers(1, 6))
+    coeff = draw(st.lists(st.integers(0, p ** m - 1), min_size=f, max_size=f))
+    if all(c % p == 0 for c in coeff):
+        coeff[draw(st.integers(0, f - 1))] += 1
+    return cls._new(p, f, draw(st.integers(-5, 5)), tuple(coeff), m)
+
+
+_NORMALIZER_FRACTIONS = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 400))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_the_normalizer_matches_the_hand_written_formulas(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)), label="p")
+    f = data.draw(st.integers(1, 3), label="f")
+    x = data.draw(_scalars(p, f), label="x")
+    y = data.draw(_scalars(p, f), label="y")
+    q = data.draw(_NORMALIZER_FRACTIONS, label="q")
+
+    def same(got, want):
+        assert got == want and type(got) is type(want)
+
+    cls = type(x) if type(x) is type(y) else UnramifiedScalar
+    same(x + y, _add_hand(x, y, cls))
+    same(x - y, _add_hand(x, -y, cls))
+    same(x._coerce(q)[1], _coerce_rational_hand(x, q))
+    same(x + q, _add_hand(x, _coerce_rational_hand(x, q), type(x)))
+    same(q - x, _add_hand(-x, _coerce_rational_hand(-x, q), type(x)))
+    n = data.draw(st.integers(x.abs_prec - 8, x.abs_prec), label="n")
+    same(x.truncate_abs(n), _truncate_abs_hand(x, n))
+    if q:
+        same(x.divexact_rational(q), _divexact_rational_hand(x, q))
+        same(x / q, _divexact_rational_hand(x, q))
+        same(x * q, _divexact_rational_hand(x, 1 / q))
+    rel = data.draw(st.integers(1, 8), label="rel_prec")
+    same(PadicScalar.from_fraction(p, q, rel), _from_fraction_hand(p, q, rel))
+    vec = data.draw(st.lists(st.integers(-(p ** 12), p ** 12), min_size=f, max_size=f), label="vec")
+    n = data.draw(st.integers(1, 10), label="log n")
+    same(x._normalized(p, f, vec, 0, n), _log_tail_hand(x, vec, n))
+
+
+# -- the working-precision cap ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cmd, doc",
+    [
+        ("teichmuller", {"p": 5, "xi": 2, "prec": 20000}),
+        ("exp", {"p": 5, "x": 5, "precision": 20000}),
+        ("log", {"p": 5, "x": 6, "precision": 20000}),
+        ("teichmuller", {"p": 5, "xi": [1, 2, 3], "prec": 2400}),
+    ],
+    ids=["teichmuller", "exp", "log", "teichmuller-f3"],
+)
+def test_a_precision_over_the_cap_exits_one_at_once(cmd, doc, monkeypatch, capsys, time_budget):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    with time_budget(1):
+        code = main([cmd])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "over the cap of 16384 bits" in captured.err
+
+
+def test_the_precision_cap_counts_bits():
+    # 7056 digits of Z_5 are 16383.4 bits, 7057 are 16385.7
+    for prec in (7057, 20000):
+        with pytest.raises(ValueError, match="cap of 16384 bits"):
+            teichmuller(ResidueElement.from_int(5, 2), prec)
+    with pytest.raises(ValueError, match="cap of 16384 bits"):
+        padic_exp(PadicScalar.from_int(2, 4, 16400), 16385)
+    padic._check_precision(5, 1, 7056)
+    padic._check_precision(2, 1, 16384)
+
+
+def test_the_heaviest_benchmark_exp_is_under_the_cap(monkeypatch, capsys):
+    # p = 5, f = 3 at precision 800 is about 5600 bits
+    x = {"p": 5, "f": 3, "v": 1, "unit_digits": [[1], [2], [3]], "rel_prec": 800}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"p": 5, "x": x, "precision": 800})))
+    assert main(["exp"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"]["f"] == 3 and out["value"]["rel_prec"] == 800
 
 
 # -- the mul-mod kernel -----------------------------------------------------
