@@ -49,6 +49,7 @@ from .laurent import laurent_from_json
 from .padic import (
     PadicScalar,
     ResidueElement,
+    _check_precision,
     _json_int,
     check_prime,
     scalar_from_json,
@@ -239,6 +240,7 @@ def _cmd_teichmuller(doc, args):
 def _cmd_exp(doc, args):
     p = _prime_field(doc)
     prec = _precision(doc, args, 24)
+    _check_precision(p, 1, prec)
     x = _scalar_in(_need(doc, "x"), p, prec)
     return 0, {"value": padic_exp(x, prec).to_json()}
 
@@ -246,6 +248,7 @@ def _cmd_exp(doc, args):
 def _cmd_log(doc, args):
     p = _prime_field(doc)
     prec = _precision(doc, args, 24)
+    _check_precision(p, 1, prec)
     x = _scalar_in(_need(doc, "x"), p, prec)
     return 0, {"value": padic_log(x, prec).to_json()}
 

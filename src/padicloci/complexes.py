@@ -22,11 +22,13 @@ exact fraction-free elimination over the cyclotomic field decides;
 it evaluates each cell in one pass, in the least cyclotomic field
 that holds the cell's value.  The choice of ell and the image of every
 coefficient depend on the character's order only, so that reduction
-is built once per order and kept on the complex; each character then
-only sums powers of one root.  Nothing is rounded on either path.  On top of that sit full torsion
-scans of the jumping condition h^i > j, determinantal generators for
-the same condition, and a shape test that recognizes when those
-generators cut out a union of torsion cosets.
+is built once per order and kept on the complex, with the complex's
+distinct monomials listed once; each character then raises the root
+to one power per distinct monomial and sums those powers cell by
+cell.  Nothing is rounded on either path.  On top of that sit full
+torsion scans of the jumping condition h^i > j, determinantal
+generators for the same condition, and a shape test that recognizes
+when those generators cut out a union of torsion cosets.
 """
 
 from fractions import Fraction
@@ -139,11 +141,12 @@ _REDUCTIONS_KEPT = 256
 
 
 def _reduction(cplx, den):
-    """(big, ell, omega, mats) for the characters of order den, or None
-    where the exact path decides: big is the lcm of den and the
-    coefficient orders, (ell, omega) = modular_root(big), and each cell
-    of mats lists its terms as (exponent, image mod ell).  The complex
-    keeps the last _REDUCTIONS_KEPT orders' reductions."""
+    """(big, ell, omega, exps, mats) for the characters of order den, or
+    None where the exact path decides: big is the lcm of den and the
+    coefficient orders, (ell, omega) = modular_root(big), exps lists the
+    complex's distinct exponent vectors in first-seen order, and each
+    cell of mats lists its terms as (index into exps, image mod ell).
+    The complex keeps the last _REDUCTIONS_KEPT orders' reductions."""
     if den in cplx._reductions:
         return cplx._reductions[den]
     if len(cplx._reductions) >= _REDUCTIONS_KEPT:
@@ -154,13 +157,15 @@ def _reduction(cplx, den):
     out = None
     if got is not None:
         ell, omega = got
+        exps = {}
         mats = [
-            [[[(exp, c.mod_image(ell, pow(omega, big // c.order, ell)))
+            [[[(exps.setdefault(exp, len(exps)),
+                c.mod_image(ell, pow(omega, big // c.order, ell)))
                for exp, c in e.terms.items()] for e in row] for row in m]
             for m in cplx.mats
         ]
         if all(img is not None for m in mats for row in m for e in row for _, img in e):
-            out = (big, ell, omega, mats)
+            out = (big, ell, omega, list(exps), mats)
     cplx._reductions[den] = out
     return out
 
@@ -179,15 +184,12 @@ def _modular_ranks(cplx, a, m):
     red = _reduction(cplx, den)
     if red is None:
         return None
-    big, ell, omega, mats = red
+    big, ell, omega, exps, mats = red
     point = [x // g * (big // den) for x in a]
+    vals = [pow(omega, sum(map(mul, exp, point)) % big, ell) for exp in exps]
     ranks = []
     for mat in mats:
-        rows = [
-            [sum(img * pow(omega, sum(map(mul, exp, point)) % big, ell) for exp, img in e) % ell
-             for e in row]
-            for row in mat
-        ]
+        rows = [[sum(img * vals[k] for k, img in e) % ell for e in row] for row in mat]
         ranks.append(rank_mod_prime(rows, ell))
     dims = cplx.dims
     for k, r in enumerate(ranks):

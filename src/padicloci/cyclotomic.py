@@ -216,9 +216,6 @@ class CycNumber:
             return NotImplemented
         return self + (-other if isinstance(other, CycNumber) else CycNumber.from_rational(-Fraction(other)))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return CycNumber(self.order, tuple(c * other for c in self.coeffs))
@@ -246,34 +243,6 @@ class CycNumber:
         c = r1[0]
         inv = [x / c for x in s1]
         return CycNumber(self.order, inv)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError
-            return CycNumber(self.order, tuple(c / q for c in self.coeffs))
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return CycNumber.from_rational(other) * self.inverse()
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = CycNumber(self.order, (Fraction(1),))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def root_of_unity_exponent(self):
         """Fraction e with self = zeta**e reduced mod 1, or None.

@@ -96,9 +96,6 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
             other = LaurentPoly.constant(self.nvars, other)

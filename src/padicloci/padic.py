@@ -794,12 +794,14 @@ def embed_root_of_unity(p, frac, prec):
     Picks the unramified coefficient ring Q_{p^f} with f the
     multiplicative order of p mod n, sends the angle 1/n to
     g**((p**f - 1)/n) for the pinned lex-smallest generator g of the
-    residue field, and lifts multiplicatively.  Refuses when the residue
-    field search would exceed 10**6 elements.
+    residue field, and lifts multiplicatively.  Refuses a residue field
+    search past 10**6 elements, and a precision over the working-precision
+    cap: the trivial angle checks it at f = 1, the lift at its own f.
     """
     check_prime(p)
     frac = Fraction(frac) % 1
     if frac == 0:
+        _check_precision(p, 1, prec)
         return UnramifiedScalar.one(p, 1, prec)
     n = frac.denominator
     c = frac.numerator

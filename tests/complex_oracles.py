@@ -10,6 +10,8 @@ characters a/m, specializes each in Q/Z form and sorts the hits.
 `binomial_equation_by_division` reads a binomial's root off the
 quotient -(c0 / c1) of its coefficients in Q(zeta_n), as the shape test
 did before it read the root off the normalized second coefficient.
+`power` and `quotient` are the integer power and the quotient in
+Q(zeta_n), which `CycNumber` leaves out because no command takes them.
 """
 
 from fractions import Fraction
@@ -18,6 +20,25 @@ from itertools import product
 from padicloci.complexes import JumpingLocusSample, specialize
 from padicloci.cyclotomic import CycNumber
 from padicloci.linalg import rank_division_free
+
+
+def power(x, e):
+    """x**e by repeated squaring; a negative e inverts x first."""
+    if e < 0:
+        x, e = x.inverse(), -e
+    result = CycNumber(x.order, (Fraction(1),))
+    while e:
+        if e & 1:
+            result = result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return result
+
+
+def quotient(x, y):
+    """x / y, through the Euclid inverse of y."""
+    return x * y.inverse()
 
 
 def evaluate(poly, point):
@@ -29,7 +50,7 @@ def evaluate(poly, point):
         val = c
         for x, e in zip(point, exp):
             if e:
-                val = val * x ** e
+                val = val * power(x, e)
         total = total + val
     return total
 
@@ -66,7 +87,7 @@ def binomial_equation_by_division(q):
     if len(items) != 2:
         return None
     (e0, c0), (e1, c1) = items
-    root = (-(c0 / c1)).root_of_unity_exponent()
+    root = (-quotient(c0, c1)).root_of_unity_exponent()
     if root is None:
         return None
     return (tuple(x - y for x, y in zip(e1, e0)), root)

@@ -3,9 +3,10 @@
 Every single mutation of a small seed document runs through `cli.main`
 in-process: at every JSON path (following at most the first three items
 of each list) the value becomes 1.5, true, "x", "1/0", null, [v],
-{"a": v}, -1 or 0, or its key is dropped.  Each run must end in exit 0, 1 or 2 with
-no escaping exception, inside a 2 s budget.  The enumeration is
-deterministic.  No number is huge: working precision has no cap yet.
+{"a": v}, -1 or 0, or its key is dropped; a "prec" or "precision" also
+becomes 10**7 and 10**8, far over the working-precision cap.  Each run
+must end in exit 0, 1 or 2 with no escaping exception, inside a 2 s
+budget.  The enumeration is deterministic.
 """
 
 import contextlib
@@ -112,15 +113,18 @@ SEEDS = [
 ]
 
 _SENTINEL = object()
+_PRECISION_KEYS = ("prec", "precision")
 
 
-def mutants(node):
-    """Every single mutation of node, in a fixed order; _SENTINEL stands
-    for a dropped key."""
+def mutants(node, key=None):
+    """Every single mutation of node, stored under key, in a fixed order;
+    _SENTINEL stands for a dropped key."""
     yield from [1.5, True, "x", "1/0", None, [node], {"a": node}, -1, 0]
+    if key in _PRECISION_KEYS:
+        yield from [10 ** 7, 10 ** 8]
     if isinstance(node, dict):
         for key, child in node.items():
-            for new in [_SENTINEL, *mutants(child)]:
+            for new in [_SENTINEL, *mutants(child, key)]:
                 out = dict(node)
                 if new is _SENTINEL:
                     del out[key]

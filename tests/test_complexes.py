@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from padicloci.complexes import (
     TwistedComplex,
     _binomial_equation,
     _normalize_associate,
+    _reduction,
     circle_complex,
     fitting_locus,
     scan_torsion,
@@ -229,6 +231,43 @@ def test_one_instance_answers_every_order_as_a_fresh_one_does(data):
         fresh = TwistedComplex(cplx.nvars, cplx.dims, cplx.mats)
         got = specialize(cplx, char)
         assert got == specialize_exact(fresh, char) == specialize(fresh, char), char
+
+
+_BUILTINS = (circle_complex, torus_complex, lambda: wedge_complex(3), lambda: surface_complex(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fast_path_matches_the_exact_path_at_random_characters(data):
+    # the builtins, and random complexes whose monomials repeat across
+    # cells, with cells of several terms and root-of-unity coefficients.
+    # A poisoned complex has 1/ell in every cell of its first map, with
+    # ell the prime that `modular_root` picks for characters of exact
+    # order m, so those characters have no reduction.  Small grids are
+    # walked whole, so that the points where a random cell vanishes are
+    # met.
+    if data.draw(st.integers(0, 3)) == 0:
+        cplx = data.draw(st.sampled_from(_BUILTINS))()
+    else:
+        cplx = _small_complex(data)
+    # the random binomial cells vanish at points of order 4 or 12
+    m = data.draw(st.one_of(st.sampled_from((4, 12)), st.integers(1, 12)))
+    poisoned = data.draw(st.booleans())
+    if poisoned:
+        orders = [c.order for mat in cplx.mats for row in mat for e in row for c in e.terms.values()]
+        q = F(1, modular_root(lcm(m, *orders))[0])
+        first = [[e.scale(q) for e in row] for row in cplx.mats[0]]
+        cplx = TwistedComplex(cplx.nvars, cplx.dims, [first, *cplx.mats[1:]])
+    if m ** cplx.nvars <= 150:
+        chars = list(product(range(m), repeat=cplx.nvars))
+    else:
+        chars = data.draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * cplx.nvars), max_size=10))
+    # one character of exact order m, written with numerators off [0, m)
+    chars.append((1 - m,) + data.draw(st.tuples(*[st.integers(-m, 2 * m)] * (cplx.nvars - 1))))
+    for a in chars:
+        want = specialize_exact(cplx, a, m)
+        assert specialize(cplx, a, m) == specialize(cplx, [F(x, m) for x in a]) == want, a
+    assert (_reduction(cplx, m) is None) == poisoned
 
 
 def test_a_complex_keeps_a_bounded_number_of_reductions(monkeypatch):

@@ -565,6 +565,17 @@ def test_the_normalizer_matches_the_hand_written_formulas(data):
 
 # -- the working-precision cap ------------------------------------------------
 
+# x**2 = 1 at p = 5: the component through the trivial character
+_TRIVIAL_TORSION = {
+    "system": {"dim": 1, "equations": [{"exponents": [2], "rhs": "0"}]},
+    "action": {
+        "p": 5,
+        "weights": [1],
+        "alpha": {"p": 5, "f": 1, "v": 0, "unit_digits": [1, 1], "rel_prec": 2},
+    },
+    "automorphism": [[1]],
+}
+
 
 @pytest.mark.parametrize(
     "cmd, doc",
@@ -573,8 +584,17 @@ def test_the_normalizer_matches_the_hand_written_formulas(data):
         ("exp", {"p": 5, "x": 5, "precision": 20000}),
         ("log", {"p": 5, "x": 6, "precision": 20000}),
         ("teichmuller", {"p": 5, "xi": [1, 2, 3], "prec": 2400}),
+        # refused before the input scalar or the trivial root is built
+        ("exp", {"p": 5, "x": 5, "precision": 10 ** 7}),
+        ("exp", {"p": 5, "x": 5, "precision": 10 ** 8}),
+        ("log", {"p": 5, "x": "6/11", "precision": 10 ** 7}),
+        ("log", {"p": 5, "x": 6, "precision": 10 ** 8}),
+        ("find-torsion", dict(_TRIVIAL_TORSION, precision=10 ** 8)),
     ],
-    ids=["teichmuller", "exp", "log", "teichmuller-f3"],
+    ids=[
+        "teichmuller", "exp", "log", "teichmuller-f3",
+        "exp-1e7", "exp-1e8", "log-1e7", "log-1e8", "find-torsion-1e8",
+    ],
 )
 def test_a_precision_over_the_cap_exits_one_at_once(cmd, doc, monkeypatch, capsys, time_budget):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
