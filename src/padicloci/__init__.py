@@ -37,7 +37,6 @@ from .padic import (
     DomainError,
     PadicScalar,
     PrecisionError,
-    ResidueElement,
     UnramifiedScalar,
     coset_eq,
     embed_root_of_unity,
@@ -46,7 +45,6 @@ from .padic import (
     multiplicative_generator,
     padic_exp,
     padic_log,
-    residue_field_elements,
     scalar_from_json,
     teichmuller,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "PadicScalar",
     "PolyDisc",
     "PrecisionError",
-    "ResidueElement",
     "TorsionCoset",
     "TwistedComplex",
     "UnramifiedScalar",
@@ -95,7 +92,6 @@ __all__ = [
     "newton_polygon",
     "padic_exp",
     "padic_log",
-    "residue_field_elements",
     "restrict_to_orbit",
     "scalar_from_json",
     "scan_torsion",

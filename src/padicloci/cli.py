@@ -48,7 +48,7 @@ from .cosets import (
 from .laurent import laurent_from_json
 from .padic import (
     PadicScalar,
-    ResidueElement,
+    UnramifiedScalar,
     _check_precision,
     _json_int,
     check_prime,
@@ -229,10 +229,12 @@ def _cmd_teichmuller(doc, args):
     coeffs = xi if isinstance(xi, list) else [xi]
     if not coeffs:
         raise SchemaError("xi needs at least one coefficient")
-    res = ResidueElement(p, len(coeffs), [_decode("xi", _json_int, c) for c in coeffs])
-    w = teichmuller(res, prec)
-    out = {"p": p, "f": res.f, "value": w.to_json()}
-    if res.f == 1:
+    f = len(coeffs)
+    # the residue: xi known mod p, or the zero coset O(p)
+    xi = UnramifiedScalar._normalized(p, f, [_decode("xi", _json_int, c) for c in coeffs], 0, 1)
+    w = teichmuller(xi, prec)
+    out = {"p": p, "f": f, "value": w.to_json()}
+    if f == 1:
         out["value_digits"] = list(out["value"].get("unit_digits", []))
     return 0, out
 

@@ -37,12 +37,10 @@ from .intlinalg import (
 from .padic import (
     DomainError,
     PadicScalar,
-    PrecisionError,
     _json_int,
     coset_eq,
     embed_root_of_unity,
     exp_domain_bound,
-    padic_exp,
 )
 from .series import AnalyticSeries, PolyDisc
 
@@ -319,17 +317,6 @@ def _character_value(values, v):
     return out
 
 
-def _contraction_exponent(values, p, bound, cap):
-    """Least n such that every value raised to p^n is within p^-bound of 1."""
-    n = 0
-    while any((x - 1).norm_exponent() < bound for x in values):
-        if n >= cap:
-            raise PrecisionError("contraction not visible at this precision")
-        values = [x ** p for x in values]
-        n += 1
-    return n
-
-
 def _certify_component(system, comp, graded, action, auto_rows, prec):
     p = action.p
     d = comp.ambient
@@ -375,13 +362,14 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
         raise AssertionError("translation failed to reach the identity component")
     through = dict(comp.to_json(), translate=["0"] * len(comp.basis))
 
-    # contraction exponent of a sample pro-p character along the
-    # subtorus directions, measured rather than assumed
+    # a sample tangent vector along the subtorus directions; each entry
+    # is p**bound * c, and exp maps p**bound * Z_p into 1 + p**bound * Z_p,
+    # so the sample pro-p character is already within p**-bound of 1:
+    # its contraction exponent is 0
     bound = exp_domain_bound(p)
     kernel = integer_kernel([list(r) for r in comp.basis], ncols=d)
     direction = [sum(col) for col in zip(*kernel)] if kernel else [0] * d
     tangent = [PadicScalar.from_int(p, (p ** bound) * c, prec) for c in direction]
-    n_contract = _contraction_exponent([padic_exp(x) for x in tangent], p, bound, prec)
 
     # the translated component in logarithm coordinates is the common
     # kernel of weight-pure linear forms, so the orbit of the sample
@@ -407,10 +395,10 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
         "sigma_power": m,
         "residue_character": {
             "f": omega.f,
-            "coeffs": [list(w.residue().coeffs) for w in values],
+            "coeffs": [list(w.residue().coeff) for w in values],
         },
         "translation": {"coset_through_identity": through},
-        "contraction_exponent": n_contract,
+        "contraction_exponent": 0,
         "contraction_target_exp": bound,
         "conic": conic,
     }

@@ -14,11 +14,12 @@ its word-wise divide and conquer.  `_add_hand`, `_truncate_abs_hand`,
 `_coerce_rational_hand`, `_divexact_rational_hand`, `_from_fraction_hand`
 and `_log_tail_hand` are the six normalizations the scalar type wrote out
 by hand before they all went through `UnramifiedScalar._normalized`.
-`rep`, `rep_int`, `from_residue` and `to_padic` are scalar conveniences
-that only tests need.
+`rep`, `rep_int`, `residue`, `residue_field`, `from_residue` and
+`to_padic` are scalar conveniences that only tests need.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from padicloci.padic import (
     DomainError,
@@ -53,9 +54,21 @@ def rep_int(x):
     return r.numerator
 
 
+def residue(p, coeffs):
+    """The element of F_{p^f} with these coefficients: the scalar known
+    mod p, or the zero coset O(p)."""
+    return UnramifiedScalar._normalized(p, len(coeffs), list(coeffs), 0, 1)
+
+
+def residue_field(p, f):
+    """Every element of F_{p^f}, in lexicographic coefficient order."""
+    for coeffs in product(range(p), repeat=f):
+        yield residue(p, coeffs)
+
+
 def from_residue(xi, rel_prec):
     """The unit of Q_{p^f} whose coefficients are the residue's, lifted."""
-    return UnramifiedScalar(xi.p, xi.f, 0, xi.coeffs, rel_prec)
+    return UnramifiedScalar(xi.p, xi.f, 0, xi.coeff, rel_prec)
 
 
 def to_padic(x):

@@ -17,7 +17,6 @@ from padicloci.padic import (
     DomainError,
     PadicScalar,
     PrecisionError,
-    ResidueElement,
     UnramifiedScalar,
     _digits,
     _is_irreducible,
@@ -47,6 +46,8 @@ from padic_oracles import (
     _undigits_loop,
     _vec_mul_mod_reference,
     from_residue,
+    residue,
+    residue_field,
     rep,
     rep_int,
     to_padic,
@@ -157,7 +158,7 @@ def test_zero_cosets_are_not_clamped_to_positive_precision():
     assert z1.divexact_rational(125) == PadicScalar.zero_at(5, -2)
     assert z2.divexact_rational(125) == UnramifiedScalar.zero_at(5, 2, -2)
     x1 = PadicScalar.from_fraction(5, Fraction(2, 125), 4)
-    x2 = from_residue(ResidueElement(5, 2, (1, 3)), 4).divexact_rational(125)
+    x2 = from_residue(residue(5, (1, 3)), 4).divexact_rational(125)
     assert z1 * x1 == PadicScalar.zero_at(5, -2)
     assert x2 * z2 == UnramifiedScalar.zero_at(5, 2, -2)
 
@@ -165,14 +166,14 @@ def test_zero_cosets_are_not_clamped_to_positive_precision():
 def test_cancellation_below_precision_one_is_the_zero_coset():
     # 5^-3 + O(5^-2) minus itself
     x1 = PadicScalar.from_fraction(5, Fraction(1, 125), 1)
-    x2 = from_residue(ResidueElement(5, 2, (2, 1)), 1).divexact_rational(125)
+    x2 = from_residue(residue(5, (2, 1)), 1).divexact_rational(125)
     assert x1 - x1 == PadicScalar.zero_at(5, -2)
     assert isinstance(x1 - x1, PadicScalar)
     assert x2 - x2 == UnramifiedScalar.zero_at(5, 2, -2)
 
 
 def test_rational_operands_multiply_exactly_in_every_degree():
-    x = from_residue(ResidueElement(5, 2, (2, 3)), 10)
+    x = from_residue(residue(5, (2, 3)), 10)
     y = x * 5
     assert (y.v, y.M) == (1, 10)
     assert y / 5 == x
@@ -181,13 +182,13 @@ def test_rational_operands_multiply_exactly_in_every_degree():
 
 def test_result_class_follows_the_operands():
     a = PadicScalar.from_int(7, 3, 5)
-    w = teichmuller(ResidueElement.from_int(7, 3), 5)
+    w = teichmuller(residue(7, (3,)), 5)
     assert type(w) is UnramifiedScalar and w.f == 1
     for r in (a + a, a - 1, 2 * a, a / a, a ** -2, a.divexact_rational(7)):
         assert type(r) is PadicScalar
     for r in (a * w, w * a, a + w, w - a, a / w):
         assert type(r) is UnramifiedScalar
-    assert (a * w).residue() == ResidueElement.from_int(7, 2)
+    assert (a * w).residue() == residue(7, (2,))
     assert a == UnramifiedScalar.from_padic(a, 1) and hash(a) == hash(to_padic(a))
 
 
@@ -290,7 +291,7 @@ def test_modulus_and_generator_match_brute_force_up_to_5000(monkeypatch):
     for p, f in pairs:
         h = brute_lex_smallest_modulus(p, f)
         assert modulus_poly(p, f) == h
-        assert multiplicative_generator(p, f).coeffs == brute_lex_smallest_generator(p, h)
+        assert multiplicative_generator(p, f).coeff == brute_lex_smallest_generator(p, h)
 
 
 def test_modulus_poly_matches_brute_force_lex_search():
@@ -300,7 +301,7 @@ def test_modulus_poly_matches_brute_force_lex_search():
 
 def _order_walk(xi):
     # multiplicative order of a nonzero residue element by repeated products
-    one = ResidueElement(xi.p, xi.f, (1,) + (0,) * (xi.f - 1))
+    one = UnramifiedScalar.one(xi.p, xi.f, 1)
     x, n = xi, 1
     while x != one:
         x, n = x * xi, n + 1
@@ -311,8 +312,8 @@ def test_residue_element_orders_partition_the_unit_group():
     for p, f in ((3, 2), (5, 2), (2, 3)):
         q = p ** f
         seen = {}
-        for xi in padic.residue_field_elements(p, f):
-            if xi.is_zero():
+        for xi in residue_field(p, f):
+            if xi.v is None:
                 continue
             n, one = _order_walk(xi)
             assert (xi ** n) == one
@@ -361,8 +362,20 @@ def test_modulus_search_at_a_large_prime_is_prompt(monkeypatch, capsys, time_bud
     assert out["f"] == 3 and [d[0] for d in out["value"]["unit_digits"]] == [1, 2, 3]
 
 
+def test_modulus_search_holds_no_range_of_the_prime(monkeypatch, time_budget):
+    # candidates are read off one integer each, so a 61-bit p (where a
+    # tuple of every residue could never be allocated) searches at once
+    monkeypatch.setattr(padic, "_MODULUS_CACHE", {})
+    p = 2 ** 61 - 1
+    with time_budget(2):
+        h = modulus_poly(p, 2)
+        w = teichmuller(residue(p, (1, 1)), 3)
+    assert h == (1, 0, 1) and _is_irreducible(h, p, 2)
+    assert w ** (p * p - 1) == UnramifiedScalar.one(p, 2, 3)
+
+
 def test_unramified_round_trips():
-    xi = ResidueElement(5, 2, (2, 3))
+    xi = residue(5, (2, 3))
     x = from_residue(xi, 6)
     assert x.residue() == xi
     assert x.coeff[0] % 5 == 2
@@ -378,7 +391,7 @@ def test_unramified_field_axioms_sampled():
     p, f, prec = 3, 2, 6
     def rand_unit():
         c = (rng.randrange(1, p), rng.randrange(p))
-        return from_residue(ResidueElement(p, f, c), prec) + (
+        return from_residue(residue(p, c), prec) + (
             UnramifiedScalar.one(p, f, prec) * rng.randrange(p ** 3)
         )
     for _ in range(30):
@@ -389,7 +402,7 @@ def test_unramified_field_axioms_sampled():
 
 
 def test_unramified_json_round_trip_and_flat_dispatch():
-    xi = ResidueElement(3, 2, (1, 2))
+    xi = residue(3, (1, 2))
     x = from_residue(xi, 5)
     doc = x.to_json()
     assert doc["f"] == 2
@@ -402,17 +415,13 @@ def test_unramified_json_round_trip_and_flat_dispatch():
 
 
 def test_teichmuller_known_value_and_defining_properties():
-    om = teichmuller(ResidueElement.from_int(5, 2), 4)
+    om = teichmuller(residue(5, (2,)), 4)
     assert rep_int(to_padic(om)) == 182
     for p, f in ((2, 3), (3, 2), (7, 1), (13, 1)):
         q = p ** f
         for c in range(1, min(q, 9)):
-            xi = (
-                ResidueElement.from_int(p, c)
-                if f == 1
-                else ResidueElement(p, f, tuple((c + i) % p for i in range(f)))
-            )
-            if xi.is_zero():
+            xi = residue(p, (c,) if f == 1 else tuple((c + i) % p for i in range(f)))
+            if xi.v is None:
                 continue
             om = teichmuller(xi, 6)
             assert om.residue() == xi
@@ -421,12 +430,20 @@ def test_teichmuller_known_value_and_defining_properties():
 
 def test_teichmuller_is_multiplicative():
     p, f = 3, 2
-    from padicloci.padic import residue_field_elements
-
-    elems = [x for x in residue_field_elements(p, f) if not x.is_zero()]
+    elems = [x for x in residue_field(p, f) if x.v is not None]
     for a in elems:
         for b in elems:
             assert teichmuller(a, 5) * teichmuller(b, 5) == teichmuller(a * b, 5)
+
+
+def test_teichmuller_reads_only_the_residue_of_a_unit():
+    xi = residue(5, (2, 3))
+    deep = from_residue(xi, 8) + UnramifiedScalar.one(5, 2, 8) * 35
+    assert deep.residue() == xi and deep.residue() == deep.truncate_abs(1)
+    assert teichmuller(deep, 6) == teichmuller(xi, 6)
+    for bad in (residue(5, (0, 5)), xi * 5, xi.divexact_rational(5)):
+        with pytest.raises(ValueError, match="zero has no multiplicative lift"):
+            teichmuller(bad, 6)
 
 
 def test_embed_root_of_unity_orders():
@@ -492,17 +509,17 @@ def test_exp_is_a_homomorphism_and_log_inverts_it():
 
 def test_exp_log_on_quadratic_extension():
     p, f = 3, 2
-    xi = ResidueElement(p, f, (1, 1))
+    xi = residue(p, (1, 1))
     x = from_residue(xi, 6) * p
     assert x.v == 1
     e = padic_exp(x)
-    assert e.v == 0 and e.residue() == ResidueElement(p, f, (1, 0))
+    assert e.v == 0 and e.residue() == residue(p, (1, 0))
     assert coset_eq(padic_log(e), x)
     assert coset_eq(e, _exp_reference(x))
 
 
 def test_log_requires_principal_units():
-    om = teichmuller(ResidueElement.from_int(7, 3), 6)
+    om = teichmuller(residue(7, (3,)), 6)
     u = padic_exp(PadicScalar.from_int(7, 7, 6))
     mixed = om * UnramifiedScalar.from_padic(u, 1)
     with pytest.raises(DomainError):
@@ -609,7 +626,7 @@ def test_the_precision_cap_counts_bits():
     # 7056 digits of Z_5 are 16383.4 bits, 7057 are 16385.7
     for prec in (7057, 20000):
         with pytest.raises(ValueError, match="cap of 16384 bits"):
-            teichmuller(ResidueElement.from_int(5, 2), prec)
+            teichmuller(residue(5, (2,)), prec)
     with pytest.raises(ValueError, match="cap of 16384 bits"):
         padic_exp(PadicScalar.from_int(2, 4, 16400), 16385)
     padic._check_precision(5, 1, 7056)
