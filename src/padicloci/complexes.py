@@ -22,13 +22,16 @@ exact fraction-free elimination over the cyclotomic field decides;
 it evaluates each cell in one pass, in the least cyclotomic field
 that holds the cell's value.  The choice of ell and the image of every
 coefficient depend on the character's order only, so that reduction
-is built once per order and kept on the complex, with the complex's
-distinct monomials listed once; each character then raises the root
-to one power per distinct monomial and sums those powers cell by
-cell.  Nothing is rounded on either path.  On top of that sit full
-torsion scans of the jumping condition h^i > j, determinantal
-generators for the same condition, and a shape test that recognizes
-when those generators cut out a union of torsion cosets.
+is built once per order and kept on the complex: the root of that
+order mod ell, the distinct monomials, and each cell as its monomial
+indices and coefficient images.  Each character raises the root to
+one power mod the order per distinct monomial and sums each cell in
+one pass; the elimination stops at a last-column pivot, so an n x 1
+map costs one pivot search.  Nothing is rounded on either path.  On
+top of that sit full torsion scans of the jumping condition h^i > j,
+determinantal generators for the same condition, and a shape test
+that recognizes when those generators cut out a union of torsion
+cosets.
 """
 
 from fractions import Fraction
@@ -141,12 +144,13 @@ _REDUCTIONS_KEPT = 256
 
 
 def _reduction(cplx, den):
-    """(big, ell, omega, exps, mats) for the characters of order den, or
-    None where the exact path decides: big is the lcm of den and the
-    coefficient orders, (ell, omega) = modular_root(big), exps lists the
-    complex's distinct exponent vectors in first-seen order, and each
-    cell of mats lists its terms as (index into exps, image mod ell).
-    The complex keeps the last _REDUCTIONS_KEPT orders' reductions."""
+    """(ell, root, exps, mats) for the characters of order den, or None
+    where the exact path decides: with (ell, omega) = modular_root(big),
+    big the lcm of den and the coefficient orders, root = omega^(big/den)
+    has order den mod ell, exps lists the complex's distinct exponent
+    vectors in first-seen order, and each cell of mats is its terms'
+    (indices into exps, images mod ell).  The complex keeps the last
+    _REDUCTIONS_KEPT orders' reductions."""
     if den in cplx._reductions:
         return cplx._reductions[den]
     if len(cplx._reductions) >= _REDUCTIONS_KEPT:
@@ -158,14 +162,12 @@ def _reduction(cplx, den):
     if got is not None:
         ell, omega = got
         exps = {}
-        mats = [
-            [[[(exps.setdefault(exp, len(exps)),
-                c.mod_image(ell, pow(omega, big // c.order, ell)))
-               for exp, c in e.terms.items()] for e in row] for row in m]
-            for m in cplx.mats
-        ]
-        if all(img is not None for m in mats for row in m for e in row for _, img in e):
-            out = (big, ell, omega, list(exps), mats)
+        mats = [[[(tuple(exps.setdefault(x, len(exps)) for x in e.terms),
+                   tuple(c.mod_image(ell, pow(omega, big // c.order, ell))
+                         for c in e.terms.values()))
+                  for e in row] for row in m] for m in cplx.mats]
+        if all(None not in imgs for m in mats for row in m for _, imgs in row):
+            out = (ell, pow(omega, big // den, ell), list(exps), mats)
     cplx._reductions[den] = out
     return out
 
@@ -184,18 +186,15 @@ def _modular_ranks(cplx, a, m):
     red = _reduction(cplx, den)
     if red is None:
         return None
-    big, ell, omega, exps, mats = red
-    point = [x // g * (big // den) for x in a]
-    vals = [pow(omega, sum(map(mul, exp, point)) % big, ell) for exp in exps]
-    ranks = []
-    for mat in mats:
-        rows = [[sum(img * vals[k] for k, img in e) % ell for e in row] for row in mat]
-        ranks.append(rank_mod_prime(rows, ell))
-    dims = cplx.dims
+    ell, root, exps, mats = red
+    point = [x // g for x in a]
+    vals = [pow(root, sum(map(mul, exp, point)) % den, ell) for exp in exps]
+    val = vals.__getitem__
+    ranks = [rank_mod_prime([[sum(map(mul, imgs, map(val, idx))) % ell for idx, imgs in row]
+                             for row in mat], ell) for mat in mats]
+    dims, nbr = cplx.dims, [0, *ranks, 0]
     for k, r in enumerate(ranks):
-        below = ranks[k - 1] if k > 0 else 0
-        above = ranks[k + 1] if k + 1 < len(ranks) else 0
-        if r != min(dims[k] - below, dims[k + 1] - above):
+        if r != min(dims[k] - nbr[k], dims[k + 1] - nbr[k + 2]):
             return None
     return ranks
 
@@ -300,12 +299,13 @@ def scan_torsion(cplx, i, j, order_bound):
         raise ValueError("order bound must be >= 1")
     if not 0 <= i < len(cplx.dims):
         raise ValueError("cohomological index out of range")
-    euler = sum((-1) ** k * r for k, r in enumerate(cplx.dims))
+    signs = [(-1) ** k for k in range(len(cplx.dims))]
+    euler = sum(map(mul, signs, cplx.dims))
     hits = []
     scanned = 0
     for a in product(range(m), repeat=cplx.nvars):
         h = specialize(cplx, a, m)
-        if sum((-1) ** k * x for k, x in enumerate(h)) != euler:
+        if sum(map(mul, signs, h)) != euler:
             raise AssertionError("Euler characteristic drifted during the scan")
         scanned += 1
         if h[i] > j:

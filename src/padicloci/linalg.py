@@ -1,43 +1,44 @@
 """Exact linear algebra over fields and integral domains.
 
 Entries are any objects with ring operators and an exact equality test
-against 0 (Fraction, CycNumber, Laurent polynomials).  Matrices are lists
-of row lists, always small here, so plain Gaussian elimination is the
-whole story: one loop, `_rank`, brings a matrix to row-echelon form by
-cross-multiplying only, so it also works over polynomial rings where
-division is unavailable, and on integer residues modulo a prime, and
-counts the pivots.
+against 0 (Fraction, CycNumber, int).  Matrices are lists of row lists,
+always small here, so plain Gaussian elimination is the whole story:
+one loop, `_rank`, brings a matrix to row-echelon form by
+cross-multiplying only, so it also works over rings where division is
+unavailable, and, reducing every combination mod ell, on integers
+modulo a prime ell, and counts the pivots.  It stops at a pivot in the
+last column, since the rows below it then have no other column left.
 """
 
 
-def _is_zero(x):
-    return x == 0
-
-
-def _cross(row, top, c):
-    return [top[c] * x - row[c] * y for x, y in zip(row, top)]
-
-
-def _rank(rows, combine):
-    """Pivot count of row-echelon reduction; combine(row, top, c) clears
-    column c of row against the pivot row top without dividing."""
-    a = [list(r) for r in rows]
+def _rank(rows, ell=None):
+    """Pivot count of row-echelon reduction: each row below a pivot is
+    replaced by its cross-multiplied combination with the pivot row,
+    taken mod ell when ell is given, so no row is changed in place."""
+    a = list(rows)
     if not a:
         return 0
+    last = len(a[0]) - 1
     rank = 0
-    for c in range(len(a[0])):
-        piv = None
-        for r in range(rank, len(a)):
-            if not _is_zero(a[r][c]):
-                piv = r
+    for c in range(last + 1):
+        for piv in range(rank, len(a)):
+            if a[piv][c] != 0:
                 break
-        if piv is None:
+        else:
             continue
+        if c == last:
+            return rank + 1
         a[rank], a[piv] = a[piv], a[rank]
         top = a[rank]
+        t = top[c]
         for r in range(rank + 1, len(a)):
-            if not _is_zero(a[r][c]):
-                a[r] = combine(a[r], top, c)
+            row = a[r]
+            x = row[c]
+            if x != 0:
+                if ell is None:
+                    a[r] = [t * y - x * z for y, z in zip(row, top)]
+                else:
+                    a[r] = [(t * y - x * z) % ell for y, z in zip(row, top)]
         rank += 1
         if rank == len(a):
             break
@@ -45,14 +46,9 @@ def _rank(rows, combine):
 
 
 def rank_division_free(rows):
-    return _rank(rows, _cross)
+    return _rank(rows)
 
 
 def rank_mod_prime(rows, ell):
     """Rank over F_ell of a matrix of integers reduced mod ell."""
-
-    def combine(row, top, c):
-        return [(top[c] * x - row[c] * y) % ell for x, y in zip(row, top)]
-
-    return _rank(rows, combine)
-
+    return _rank(rows, ell)

@@ -727,7 +727,8 @@ def teichmuller(xi, prec):
     Returns the unique unit congruent to xi mod p whose (p**f - 1)-th
     power is exactly 1, to relative precision prec.  Computed by
     iterating the q-power map (q = p**f), which fixes the residue and
-    contracts the fiber one digit per step.
+    gains at least f digits per step, as (1 + p**k u)**q = 1 mod
+    p**(k + f).
     """
     if xi.v != 0:
         raise ValueError("zero has no multiplicative lift")

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -882,6 +883,22 @@ def test_cohomology_takes_a_character_order_at_the_cap(monkeypatch, capsys):
     char = ["1/%d" % _VERIFY_GRID_CAP, "0"]
     code, out, _ = run_cli(["cohomology"], dict(torus, character=char), monkeypatch, capsys)
     assert code == 0 and out == {"h": [0, 0, 0]}
+
+
+def test_cohomology_at_a_large_order_holds_memory_in_proportion_to_the_terms(monkeypatch, capsys):
+    # the reduction kept on the shared builtin for the character's order
+    # holds one image per term and one root; a table of root powers
+    # indexed by the order would hold megabytes at this order
+    complexes.surface_complex.cache_clear()
+    doc = {"complex": {"builtin": "torus"}, "character": ["1/199999", "0"]}
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["cohomology"], doc, monkeypatch, capsys)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out == {"h": [0, 0, 0]}
+    assert held < 256 * 1024
 
 
 def test_cohomology_at_a_highly_composite_order_is_quick(monkeypatch, capsys, time_budget):
