@@ -12,10 +12,10 @@ values, so
 
 with L saturated (the quotient of the character lattice by L is
 torsion free) and zeta additive on a Hermite basis of L.  A torsion point
-a / m is held as integer numerators a with the order m, walked in
-lexicographic order off one Hermite basis of the solutions mod m; each pin
-reads <v, a> = m * zeta(v) mod m.  Everything is exact, and p-adic data
-enters only when a point is embedded.
+a / m is held as integer numerators a with the order m; each pin reads
+<v, a> = m * zeta(v) mod m, and the points are walked in lexicographic
+order off the Hermite form of the pins over m * I, their Howell form mod m.
+Everything is exact, and p-adic data enters only when a point is embedded.
 """
 
 import math
@@ -46,6 +46,8 @@ from .series import AnalyticSeries, PolyDisc
 
 # most components solve_binomial lists
 _COMPONENT_CAP = 200000
+# most coordinates the pins of a walked coset may use
+_PIN_CAP = 1000
 
 
 class BinomialSystem:
@@ -206,40 +208,39 @@ def solve_binomial(system):
 
 def torsion_walk(coset, order):
     """Integer vectors a in [0, order)^d with a / order on the coset, in
-    increasing lexicographic order (Howell 1986).
-
-    The pins read B a = order * zeta mod order: a Smith transform W of B
-    (on the columns B uses) gives one solution, and the rest differ by
-    the full-rank lattice of the free columns of W, the unused axes and
-    order * Z^d.  Its row Hermite basis is upper triangular with h_ii
-    dividing order, so with the earlier coordinates fixed coordinate i
-    runs through one class mod h_ii.  There are order ** dim(coset)
-    points when order * zeta is integral (B is saturated), else none.
+    increasing lexicographic order: order ** dim(coset) of them when
+    order * zeta is integral, else none.  Pins on over _PIN_CAP coordinates
+    raise ValueError.  The pins read B a = order * zeta mod order, and the
+    row Hermite form of B on the s columns it uses, last to first, over
+    order * I_s (carrying order * zeta, then 0) is their Howell form mod
+    order (Howell 1986): row k gives coordinate used[s - 1 - k] h values
+    order / h apart, h | order, once the earlier coordinates are fixed, and
+    every earlier choice extends.
     """
     m = int(order)
     if m < 1:
         raise ValueError("order bound must be >= 1")
     d = coset.ambient
+    used = [j for j in range(d) if any(row[j] for row in coset.basis)]
+    s = len(used)
+    if s > _PIN_CAP:
+        raise ValueError("pins on %d coordinates are over the cap of %d" % (s, _PIN_CAP))
     target = [v * m for v in coset.translate]
     if any(t.denominator != 1 for t in target):
         return
-    used = [j for j in range(d) if any(row[j] for row in coset.basis)]
-    r, s = len(coset.basis), len(used)
-    u, _, w = smith_normal_form([[row[j] for j in used] for row in coset.basis])
-    part = mat_vec(w, mat_vec(u, [int(t) for t in target]) + [0] * (s - r))
-    free = [[row[j] for row in w] for j in range(r, s)]
-    hnf, _, _ = hermite_normal_form(free + [[m * x for x in e] for e in identity_matrix(s)])
-    start, step, moves = [0] * d, [1] * d, [()] * d
-    for k, j in enumerate(used):
-        start[j], step[j] = part[k] % m, hnf[k][k]
-        moves[j] = [(used[l], hnf[k][l]) for l in range(k + 1, s) if hnf[k][l]]
-    for ks in product(*(range(m // h) for h in step)):
-        res, pt = list(start), []
+    rows = [[row[j] for j in reversed(used)] for row in coset.basis]
+    rows += [[m * x for x in e] for e in identity_matrix(s)]
+    hnf, vals, _ = hermite_normal_form(rows, [int(t) for t in target] + [0] * s)
+    count, res, moves = [m] * d, [0] * d, [()] * d
+    for k, j in enumerate(reversed(used)):
+        count[j], res[j] = hnf[k][k], vals[k]
+        moves[j] = [(used[~l], hnf[l][k]) for l in range(k) if hnf[l][k]]
+    for ks in product(*map(range, count)):
+        left, pt = list(res), []
         for i, k in enumerate(ks):
-            a = res[i] % step[i] + k * step[i]
-            c = (a - res[i]) // step[i]
+            a = (left[i] % m + k * m) // count[i]
             for j, y in moves[i]:
-                res[j] = (res[j] + c * y) % m
+                left[j] -= a * y
             pt.append(a)
         yield tuple(pt)
 

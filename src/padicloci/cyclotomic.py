@@ -17,7 +17,7 @@ that the reduction alone cannot prove.
 import math
 from fractions import Fraction
 
-from .padic import _MR_LIMIT, _is_prime, _prime_factors
+from .padic import _MR_LIMIT, _is_prime, _json_int, _prime_factors
 
 
 def _trim(a):
@@ -305,7 +305,7 @@ def cyc_from_json(doc):
     if not isinstance(doc, dict):
         return CycNumber.from_rational(Fraction(doc))
     root = Fraction(doc["root"]) if "root" in doc else None
-    order = doc["order"] if root is None else root.denominator
+    order = _json_int(doc["order"]) if root is None else root.denominator
     if order > _ORDER_CAP:
         raise ValueError("coefficient order %s is over the cap of %d" % (order, _ORDER_CAP))
     if root is not None:

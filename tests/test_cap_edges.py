@@ -3,10 +3,9 @@
 Each cap has the least document over it, which must be refused at once,
 and, where the largest document under it answers quickly, that one too,
 so that a slow path at a cap shows as a blown time budget rather than
-being found by hand.  Two edges are left out until their paths are fast:
-a Teichmuller lift at the working-precision cap (the q-power loop takes
-about 17 s at p = 5, precision 7056) and a torsion coset pinned by one
-dense row at high rank.
+being found by hand.  One edge is left out until its path is fast: a
+Teichmuller lift at the working-precision cap (the q-power loop takes
+about 17 s at p = 5, precision 7056).
 """
 
 import io
@@ -98,6 +97,11 @@ def _one_ok_certificate(out):
     return cert["status"] == "ok" and cert["residue_character"]["f"] == 2
 
 
+def _dense_pin(d):
+    # x_1 * ... * x_d = 1 on a rank-d torus
+    return {"lattice_basis": [[1] * d], "translate": ["0"], "dim": d - 1}
+
+
 def _trivial_hit(out):
     return out["hits"] == [["0"] * len(out["hits"][0])]
 
@@ -156,6 +160,21 @@ EDGES = {
         {"coset": {"dim": CAP, "lattice_basis": [], "translate": []}, "order": 1},
         0,
         _all_zero_point,
+    ),
+    # a torsion coset whose pins use more than 1000 coordinates: the walk's
+    # Hermite form is quadratic in them (a Smith transform of the one dense
+    # pin on 1000 coordinates took 275 s)
+    "pinned-coordinates-1001": (
+        "enumerate-torsion",
+        {"coset": _dense_pin(1001), "order": 1},
+        1,
+        "pins on 1001 coordinates are over the cap of 1000",
+    ),
+    "pinned-coordinates-1000": (
+        "enumerate-torsion",
+        {"coset": _dense_pin(1000), "order": 1},
+        0,
+        {"count": 1, "points": [["0"] * 1000]},
     ),
     # a binomial system with more than 200000 components
     "components-200001": (

@@ -500,8 +500,8 @@ def test_oversized_torsion_grid_is_refused(dim, order, monkeypatch, capsys):
 
 
 def test_high_rank_torsion_walk_builds_no_square_matrix(monkeypatch, capsys, time_budget):
-    # only the coordinates the pins use enter the Smith and Hermite forms,
-    # so the unpinned rank-3000 torus at order 1 is one point, at once
+    # only the coordinates the pins use enter the Hermite form, so the
+    # unpinned rank-3000 torus at order 1 is one point, at once
     coset = {"lattice_basis": [], "translate": [], "dim": 3000}
     with time_budget(2):
         code, out, _ = run_cli(
@@ -604,8 +604,8 @@ def _disc_with(**changes):
     return {"series": dict(doc, disc=dict(doc["disc"], **changes))}
 
 
-def _twisted(exp=1, **changes):
-    cplx = dict({"vars": 1, "matrices": [[[[{"coeff": "1", "exp": [exp]}]]]]}, **changes)
+def _twisted(exp=1, coeff="1", **changes):
+    cplx = dict({"vars": 1, "matrices": [[[[{"coeff": coeff, "exp": [exp]}]]]]}, **changes)
     return {"complex": cplx, "character": ["1/2"]}
 
 
@@ -624,6 +624,8 @@ def _twisted(exp=1, **changes):
         ("cohomology", _twisted(exp=1.7)),
         ("cohomology", _twisted(vars=1.9)),
         ("cohomology", _twisted(dims=[1, 1.0])),
+        ("cohomology", _twisted(coeff={"order": True, "coeffs": ["1", "1"]})),
+        ("cohomology", _twisted(coeff={"order": 2.0, "coeffs": ["1", "1"]})),
         ("shape-check", {"vars": 1, "generators": [[{"coeff": "1", "exp": [True]}]]}),
         ("strassmann", _series_with(terms=[{"exp": [1.5], "coeff": SCALAR}])),
         ("strassmann", _series_with(tail_exp="x")),
@@ -647,6 +649,8 @@ def _twisted(exp=1, **changes):
         "laurent-exponent-float",
         "complex-vars-float",
         "complex-dims-float",
+        "coefficient-order-bool",
+        "coefficient-order-float",
         "laurent-exponent-bool",
         "series-exponent-float",
         "tail-exp-string",

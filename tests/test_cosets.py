@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicloci.conic import WeightedAction
@@ -19,6 +20,8 @@ from padicloci.cosets import (
 from padicloci.intlinalg import (
     diagonal_of,
     hermite_normal_form,
+    identity_matrix,
+    mat_vec,
     smith_normal_form,
     vec_mat,
 )
@@ -144,6 +147,70 @@ def test_torsion_walk_matches_a_brute_force_filter(coset, m):
             brute.append(a)
     assert list(torsion_walk(coset, m)) == brute
     assert enumerate_torsion(coset, m) == [tuple(F(x, m) for x in a) for a in brute]
+
+
+def smith_walk(coset, order):
+    """The walk torsion_walk made before it read the pins' own Hermite
+    form: a Smith transform W of the pins (on the columns they use) gives
+    one solution, and the rest differ by the lattice of W's free columns,
+    the unused axes and order * Z^d, whose row Hermite basis is upper
+    triangular with h_ii dividing order."""
+    m = int(order)
+    d = coset.ambient
+    target = [v * m for v in coset.translate]
+    if any(t.denominator != 1 for t in target):
+        return
+    used = [j for j in range(d) if any(row[j] for row in coset.basis)]
+    r, s = len(coset.basis), len(used)
+    u, _, w = smith_normal_form([[row[j] for j in used] for row in coset.basis])
+    part = mat_vec(w, mat_vec(u, [int(t) for t in target]) + [0] * (s - r))
+    free = [[row[j] for row in w] for j in range(r, s)]
+    hnf, _, _ = hermite_normal_form(free + [[m * x for x in e] for e in identity_matrix(s)])
+    start, step, moves = [0] * d, [1] * d, [()] * d
+    for k, j in enumerate(used):
+        start[j], step[j] = part[k] % m, hnf[k][k]
+        moves[j] = [(used[l], hnf[k][l]) for l in range(k + 1, s) if hnf[k][l]]
+    for ks in product(*(range(m // h) for h in step)):
+        res, pt = list(start), []
+        for i, k in enumerate(ks):
+            a = res[i] % step[i] + k * step[i]
+            c = (a - res[i]) // step[i]
+            for j, y in moves[i]:
+                res[j] = (res[j] + c * y) % m
+            pt.append(a)
+        yield tuple(pt)
+
+
+@st.composite
+def wide_cosets(draw):
+    """A component of one to three random pins on a random subset of the
+    columns of a torus of rank 4 to 8, with an order that often clears the
+    translate's denominators."""
+    d = draw(st.integers(4, 8), label="rank")
+    cols = draw(st.sets(st.integers(0, d - 1), min_size=1), label="columns")
+    vec = st.lists(st.integers(-5, 5), min_size=d, max_size=d).map(
+        lambda v: [c if j in cols else 0 for j, c in enumerate(v)]
+    )
+    rhs = st.builds(F, st.integers(0, 11), st.sampled_from((1, 2, 3, 4, 6)))
+    eqs = draw(st.lists(st.tuples(vec.filter(any), rhs), min_size=1, max_size=3))
+    comps = solve_binomial(BinomialSystem(d, eqs))
+    assume(comps)
+    coset = draw(st.sampled_from(comps), label="component")
+    den = math.lcm(*(t.denominator for t in coset.translate))
+    if den <= 30 and draw(st.booleans()):
+        m = den * draw(st.integers(1, 30 // den))
+    else:
+        m = draw(st.integers(1, 30))
+    return coset, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=wide_cosets())
+def test_torsion_walk_matches_the_smith_walk(case):
+    # past brute force: the whole walk up to 20000 points, else its head
+    coset, m = case
+    n = None if m ** coset.dim <= 20000 else 2000
+    assert list(islice(torsion_walk(coset, m), n)) == list(islice(smith_walk(coset, m), n))
 
 
 # -- stability under automorphisms -------------------------------------------
