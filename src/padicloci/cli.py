@@ -14,6 +14,10 @@ The --jobs flag is accepted for interface stability: scans and sample
 loops are order-independent merges, so worker count never changes a
 byte of output, and the implementation keeps the single-threaded
 deterministic facade.
+
+Each handler imports the modules it runs when it runs, so a process
+answering one command compiles only those; `padic`, which nearly every
+command decodes through, is imported here.
 """
 
 import argparse
@@ -24,28 +28,6 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from .complexes import (
-    SIZE_LIMIT_MESSAGE,
-    TwistedComplex,
-    circle_complex,
-    fitting_locus,
-    scan_torsion,
-    shape_check,
-    specialize,
-    surface_complex,
-    torus_complex,
-    wedge_complex,
-)
-from .conic import AnalyticLocus, WeightedAction, conic_certificate
-from .cosets import (
-    BinomialSystem,
-    TorsionCoset,
-    enumerate_torsion,
-    sigma_stable,
-    solve_binomial,
-    torsion_certificate_pipeline,
-)
-from .laurent import laurent_from_json
 from .padic import (
     PadicScalar,
     UnramifiedScalar,
@@ -57,7 +39,6 @@ from .padic import (
     padic_log,
     teichmuller,
 )
-from .series import _ORBIT_CAP, AnalyticSeries, newton_polygon, strassmann_count
 
 ENV_PREFIX = "PADICLOCI_"
 INPUT_FREE = {"demo"}
@@ -181,6 +162,13 @@ def _scalar_in(val, p, prec):
 
 
 def _builtin_complex(c):
+    from .complexes import (
+        SIZE_LIMIT_MESSAGE,
+        circle_complex,
+        surface_complex,
+        torus_complex,
+        wedge_complex,
+    )
     name = c["builtin"]
     if name == "circle":
         return circle_complex()
@@ -200,6 +188,7 @@ def _builtin_complex(c):
 
 
 def _complex_in(doc):
+    from .complexes import SIZE_LIMIT_MESSAGE, TwistedComplex
     c = _need(doc, "complex", dict)
     if "builtin" in c:
         return _decode("complex", _builtin_complex, c)
@@ -256,21 +245,25 @@ def _cmd_log(doc, args):
 
 
 def _series_in(doc, key="series"):
+    from .series import AnalyticSeries
     return _decode("series", AnalyticSeries.from_json, _need(doc, key, dict))
 
 
 def _cmd_strassmann(doc, args):
+    from .series import strassmann_count
     g = _series_in(doc)
     return 0, {"count": strassmann_count(g)}
 
 
 def _cmd_newton(doc, args):
+    from .series import newton_polygon
     g = _series_in(doc)
     return 0, newton_polygon(g).to_json()
 
 
 def _conic_in(doc):
     """(locus, action, point) of a conic certificate request."""
+    from .conic import AnalyticLocus, WeightedAction
     locus = _decode("locus or action", AnalyticLocus.from_json, _need(doc, "locus", dict))
     action = _decode("locus or action", WeightedAction.from_json, _need(doc, "action", dict))
     point = tuple(_scalar_in(v, action.p, 24) for v in _need(doc, "point", list))
@@ -278,6 +271,7 @@ def _conic_in(doc):
 
 
 def _cmd_conic_check(doc, args):
+    from .conic import conic_certificate
     locus, action, point = _conic_in(doc)
     bound = _int_field(doc, "bound_k", args.order_bound or 8)
     res = conic_certificate(locus, action, point, bound)
@@ -285,16 +279,19 @@ def _cmd_conic_check(doc, args):
 
 
 def _system_in(doc, key="system"):
+    from .cosets import BinomialSystem
     return _decode("binomial system", BinomialSystem.from_json, _need(doc, key, dict))
 
 
 def _cmd_solve_binomial(doc, args):
+    from .cosets import solve_binomial
     system = _system_in(doc) if "system" in doc else _system_in({"system": doc})
     comps = solve_binomial(system)
     return 0, {"count": len(comps), "components": [c.to_json() for c in comps]}
 
 
 def _cmd_enumerate_torsion(doc, args):
+    from .cosets import TorsionCoset, enumerate_torsion
     coset = _decode("coset", TorsionCoset.from_json, _need(doc, "coset", dict))
     order = _positive_field(doc, "order", args.order_bound)
     if _over_cap(order, coset.dim):
@@ -304,6 +301,8 @@ def _cmd_enumerate_torsion(doc, args):
 
 
 def _cmd_find_torsion(doc, args):
+    from .conic import WeightedAction
+    from .cosets import torsion_certificate_pipeline
     system = _system_in(doc)
     action = _decode("action", WeightedAction.from_json, _need(doc, "action", dict))
     if action.dim != system.dim:
@@ -316,6 +315,7 @@ def _cmd_find_torsion(doc, args):
 
 
 def _cmd_cohomology(doc, args):
+    from .complexes import specialize
     cplx = _complex_in(doc)
     char = _character_in(doc, "character", cplx.nvars)
     if math.lcm(*(q.denominator for q in char)) > _VERIFY_GRID_CAP:
@@ -324,6 +324,7 @@ def _cmd_cohomology(doc, args):
 
 
 def _cmd_jumping_scan(doc, args):
+    from .complexes import scan_torsion
     cplx = _complex_in(doc)
     i = _int_field(doc, "i")
     j = _int_field(doc, "j")
@@ -334,6 +335,7 @@ def _cmd_jumping_scan(doc, args):
 
 
 def _cmd_fitting(doc, args):
+    from .complexes import SIZE_LIMIT_MESSAGE, fitting_locus
     cplx = _complex_in(doc)
     i = _int_field(doc, "i")
     j = _int_field(doc, "j")
@@ -344,6 +346,8 @@ def _cmd_fitting(doc, args):
 
 
 def _cmd_shape_check(doc, args):
+    from .complexes import SIZE_LIMIT_MESSAGE, fitting_locus, scan_torsion, shape_check
+    from .laurent import laurent_from_json
     if "generators" in doc:
         nvars = _positive_field(doc, "vars")
         gens = [
@@ -375,6 +379,7 @@ def _cmd_shape_check(doc, args):
 
 
 def _component_in(doc, dim):
+    from .cosets import TorsionCoset
     comp = _decode("component", TorsionCoset.from_json, doc)
     if comp.ambient != dim:
         raise SchemaError("component of rank %d on a torus of rank %d" % (comp.ambient, dim))
@@ -412,6 +417,7 @@ def _verify_solve(doc, args):
 
 
 def _verify_certificates(doc, args):
+    from .cosets import TorsionCoset, sigma_stable
     system = _system_in(doc)
     auto = _automorphism_in(doc, system.dim)
     certs = _need(doc, "certificates", list)
@@ -443,6 +449,7 @@ def _verify_certificates(doc, args):
 
 
 def _verify_conic(doc, args):
+    from .series import _ORBIT_CAP
     locus, action, point = _conic_in(doc)
     cert = _need(doc, "certificate", dict)
     if not cert.get("ok"):
@@ -465,6 +472,7 @@ def _verify_conic(doc, args):
 
 
 def _verify_counts(doc, args):
+    from .series import newton_polygon, strassmann_count
     g = _series_in(doc)
     count = strassmann_count(g)
     poly = newton_polygon(g)

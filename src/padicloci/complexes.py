@@ -40,7 +40,6 @@ from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
 
-from .cosets import BinomialSystem, solve_binomial
 from .cyclotomic import CycNumber, modular_root
 from .laurent import LaurentPoly, laurent_det, laurent_from_json
 from .linalg import rank_division_free, rank_mod_prime
@@ -450,6 +449,7 @@ def shape_check(generators, nvars=None, scan=None):
     the shape undetermined, with the scan evidence attached when the
     caller provides some.
     """
+    from .cosets import BinomialSystem, solve_binomial
     gens = [_normalize_associate(g) for g in generators if not g.is_zero()]
     if gens:
         nvars = gens[0].nvars

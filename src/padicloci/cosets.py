@@ -318,7 +318,7 @@ def _character_value(values, v):
     return out
 
 
-def _certify_component(system, comp, graded, action, auto_rows, prec):
+def _certify_component(system, comp, graded, action, auto_rows, prec, roots):
     p = action.p
     d = comp.ambient
     full_order = math.lcm(1, *(v.denominator for v in comp.translate))
@@ -336,8 +336,11 @@ def _certify_component(system, comp, graded, action, auto_rows, prec):
 
     # embed the base point through one Teichmuller lift omega of order
     # t_order before the orbit walk, so an oversized residue field is
-    # refused first; every original equation is re-checked below
-    omega = embed_root_of_unity(p, Fraction(1, t_order) % 1, prec)
+    # refused first; every original equation is re-checked below.  The
+    # lift is made once per order and kept in `roots` for the document
+    omega = roots.get(t_order)
+    if omega is None:
+        omega = roots[t_order] = embed_root_of_unity(p, Fraction(1, t_order) % 1, prec)
 
     # least automorphism power fixing the base point; the orbit stays in
     # the finite set of full_order-torsion points of the component
@@ -429,8 +432,9 @@ def torsion_certificate_pipeline(system, action, auto, precision):
     graded = [_graded_basis(c.basis, action.weights) for c in comps]
     if None in graded or not all(sigma_stable(c, auto_rows) for c in comps):
         raise ValueError("hypothesis violation")
+    roots = {}
     certs = [
-        _certify_component(system, c, g, action, auto_rows, prec)
+        _certify_component(system, c, g, action, auto_rows, prec, roots)
         for c, g in zip(comps, graded)
     ]
     for cert in certs:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicloci import cli, complexes
+from padicloci import cli, complexes, padic
 from padicloci.cli import _VERIFY_GRID_CAP, _build_parser, main
 from padicloci.cosets import BinomialSystem, solve_binomial
 from padicloci.cyclotomic import CycNumber
@@ -1097,6 +1098,31 @@ def _cli_bytes(cmd, doc, monkeypatch, capsys):
     return code, capsys.readouterr().out
 
 
+def test_find_torsion_lifts_one_root_per_distinct_order(monkeypatch, capsys):
+    # x**24 = 1 at p = 5: 24 components of orders 1, 2, 3, 4, 6, 8, 12, 24
+    lifts = [0]
+    lift = padic.teichmuller
+
+    def counted(xi, prec):
+        lifts[0] += 1
+        return lift(xi, prec)
+
+    monkeypatch.setattr(padic, "teichmuller", counted)
+    doc = {
+        "system": {"dim": 1, "equations": [{"exponents": [24], "rhs": "0"}]},
+        "action": {"p": 5, "weights": [1], "alpha": PadicScalar.from_int(5, 6, 24).to_json()},
+        "automorphism": [[1]],
+        "precision": 24,
+    }
+    code, out = _cli_bytes("find-torsion", doc, monkeypatch, capsys)
+    certs = json.loads(out)["certificates"]
+    assert code == 0 and len(certs) == 24
+    assert lifts[0] == len({c["order"] for c in certs} - {1}) == 7
+    # the bytes of the one-lift-per-component pipeline
+    digest = "4af83afcf2a5e4e16097d81a9f2de9e22665538eff5a2f5327af1451d7fe31b7"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_two_documents_on_one_builtin_share_one_instance(monkeypatch, capsys):
     complexes.surface_complex.cache_clear()
     checks = [0]
@@ -1108,8 +1134,10 @@ def test_two_documents_on_one_builtin_share_one_instance(monkeypatch, capsys):
 
     monkeypatch.setattr(complexes.TwistedComplex, "_check_composite", staticmethod(counted))
     seen = []
-    spec = cli.specialize
-    monkeypatch.setattr(cli, "specialize", lambda cplx, char: seen.append(cplx) or spec(cplx, char))
+    spec = complexes.specialize
+    monkeypatch.setattr(
+        complexes, "specialize", lambda cplx, char: seen.append(cplx) or spec(cplx, char)
+    )
     for char in (["1/5", "0"], ["1/7", "2/7"]):
         doc = {"complex": {"builtin": "torus"}, "character": char}
         assert _cli_bytes("cohomology", doc, monkeypatch, capsys)[0] == 0
