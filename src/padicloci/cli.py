@@ -244,9 +244,9 @@ def _cmd_log(doc, args):
     return 0, {"value": padic_log(x, prec).to_json()}
 
 
-def _series_in(doc, key="series"):
+def _series_in(doc):
     from .series import AnalyticSeries
-    return _decode("series", AnalyticSeries.from_json, _need(doc, key, dict))
+    return _decode("series", AnalyticSeries.from_json, _need(doc, "series", dict))
 
 
 def _cmd_strassmann(doc, args):
@@ -278,9 +278,9 @@ def _cmd_conic_check(doc, args):
     return (0 if res.get("ok") else 1), res
 
 
-def _system_in(doc, key="system"):
+def _system_in(doc):
     from .cosets import BinomialSystem
-    return _decode("binomial system", BinomialSystem.from_json, _need(doc, key, dict))
+    return _decode("binomial system", BinomialSystem.from_json, _need(doc, "system", dict))
 
 
 def _cmd_solve_binomial(doc, args):
@@ -449,7 +449,7 @@ def _verify_certificates(doc, args):
 
 
 def _verify_conic(doc, args):
-    from .series import _ORBIT_CAP
+    from .series import _ORBIT_CAP, restrict_to_orbit
     locus, action, point = _conic_in(doc)
     cert = _need(doc, "certificate", dict)
     if not cert.get("ok"):
@@ -459,6 +459,9 @@ def _verify_conic(doc, args):
         raise SchemaError("field 'points_used' must be >= 0")
     if used > _ORBIT_CAP:
         return 1, {"refusal": "orbit too large"}
+    for i, f in enumerate(locus.equations):
+        if restrict_to_orbit(f, point, action.weights).exact_above_tail():
+            return 1, {"verified": False, "reason": "equation %d does not vanish along the orbit" % i}
     for n in range(used):
         moved = action.orbit_point(n, point)
         for i, g in enumerate(locus.equations):

@@ -1,9 +1,9 @@
 """Weighted scaling actions and conicity certificates.
 
 A weighted action moves a point by x_i -> beta**w_i x_i.  A locus is
-conic when it absorbs every such scaling with |beta| <= 1; since each
-defining series restricts along an orbit to a one-variable series, the
-Strassmann machinery turns that into a finite check.
+conic when it absorbs every such scaling with |beta| <= 1; each
+defining series restricts along an orbit to a one-variable series, whose
+stored terms decide that at the tail precision.
 """
 
 from .padic import DomainError, _json_int, check_prime, scalar_from_json
@@ -92,11 +92,11 @@ def conic_certificate(S, action, point, bound_k):
     """Certify that the closed orbit of a point stays inside the locus.
 
     Each defining series is restricted to beta -> f(beta . point) and
-    handed to the one-variable vanishing certificate with a budget of
-    bound_k + 1 orbit points.  Success certifies {beta . point : |beta|
-    <= 1} lies in S to the stated precision; any refusal comes back
-    decorated with the offending equation and, when one exists, the
-    concrete orbit point where the series is provably nonzero.
+    handed to the one-variable vanishing certificate, which reads the
+    stored terms.  Success certifies {beta . point : |beta| <= 1} lies in
+    S to each stated tail_exp; any refusal comes back decorated with the
+    offending equation and, when the orbit walk found one, the concrete
+    orbit point where the series is provably nonzero.
     """
     if action.dim != S.disc.dim:
         raise ValueError("action arity mismatch")

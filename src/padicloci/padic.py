@@ -373,20 +373,6 @@ class UnramifiedScalar:
         """e with |x| = p**(-e); for a zero coset this is a lower bound."""
         return self.zprec if self.v is None else self.v
 
-    def is_zero_to(self, tau):
-        """Exact three-way test of |x| <= p**(-tau).
-
-        True/False when the stored precision decides it, PrecisionError when
-        the coset is too coarse to tell.
-        """
-        if self.v is not None:
-            return self.v >= tau
-        if self.zprec >= tau:
-            return True
-        raise PrecisionError(
-            "zero to precision %d cannot be tested at threshold %d" % (self.zprec, tau)
-        )
-
     def residue(self):
         """Image in the residue field F_{p^f} = O/pO, the scalar known mod
         p (zero is the coset O(p)); requires v >= 0."""

@@ -98,6 +98,15 @@ class AnalyticSeries:
             out.append((exp, coeff, coeff.norm_exponent() + weight, coeff.valuation is not None))
         return out
 
+    def exact_above_tail(self):
+        """(value_exp, exp) of each exact stored term above the tail."""
+        tau = self.tail_exp
+        return [
+            (val, exp)
+            for exp, _, val, exact in self._term_entries()
+            if exact and (tau is None or val < tau)
+        ]
+
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point):
@@ -324,43 +333,38 @@ def check_scaling_unit(alpha, p):
     return diff.valuation
 
 
-# largest orbit a vanishing certificate walks; its points are all held
+# largest orbit a vanishing certificate walks for a witness
 _ORBIT_CAP = 200000
 
 
 def vanish_certificate(g, alpha, bound_k):
-    """Certificate that a univariate series vanishes identically on its disc.
+    """Certificate that a univariate series vanishes on its disc, read off
+    the stored terms: on a closed disc the sup norm is the Gauss norm.
 
-    Evaluates g at the bound_k + 1 pairwise-distinct points alpha**n and
-    combines with the Strassmann count: a series with at most bound_k
-    zeros vanishing at bound_k + 1 points is identically zero at the tail
-    precision.  Returns a certificate dict or a refusal dict carrying the
-    failing datum; precision gaps raise PrecisionError instead of guessing,
-    and an orbit of more than _ORBIT_CAP points raises ValueError.
+    With no exact term above the tail, the certificate states the least
+    of the term bounds and the tail (None for no term and no tail).
+    Otherwise the refusal names a witness: the Strassmann count when it
+    exceeds bound_k, else the first orbit point alpha**n, n <= bound_k,
+    where g is provably nonzero, else the exact term above the tail with
+    the least bound.  An ambiguous count raises PrecisionError; an orbit
+    of more than _ORBIT_CAP points raises ValueError.
     """
     if g.disc.dim != 1:
         raise ValueError("vanishing certificates are univariate")
     if bound_k < 0:
         raise ValueError("the point-count bound must be >= 0")
-    p = g.disc.p
-    tau = g.tail_exp
-    s = check_scaling_unit(alpha, p)
-    entries = g._term_entries()
-    # trivially zero, route 1: every stored coefficient is itself zero to
-    # its precision, so the whole series is zero to the weakest bound
-    if all(not exact for _, _, _, exact in entries):
-        bounds = [val for _, _, val, _ in entries]
-        if tau is not None:
-            bounds.append(tau)
+    check_scaling_unit(alpha, g.disc.p)
+    above = g.exact_above_tail()
+    if not above:
+        bounds = [val for _, _, val, _ in g._term_entries()]
+        if g.tail_exp is not None:
+            bounds.append(g.tail_exp)
         return {
             "ok": True,
             "kind": "trivial",
             "points_used": 0,
-            "tail_exp": min(bounds) if bounds else None,
+            "tail_exp": min(bounds, default=None),
         }
-    # trivially zero, route 2: every stored term sits at or below the tail
-    if tau is not None and all(val >= tau for _, _, val, _ in entries):
-        return {"ok": True, "kind": "trivial", "points_used": 0, "tail_exp": tau}
     count = strassmann_count(g)
     if count > bound_k:
         return {
@@ -372,32 +376,10 @@ def vanish_certificate(g, alpha, bound_k):
         }
     if bound_k >= _ORBIT_CAP:
         raise ValueError("orbit of %d points is over the cap of %d" % (bound_k + 1, _ORBIT_CAP))
-    # distinctness of alpha**0 .. alpha**bound_k:
-    # alpha**j - alpha**i is a unit multiple of alpha**(j-i) - 1
-    powers = [alpha ** n for n in range(bound_k + 1)]
-    for n in range(1, bound_k + 1):
-        diff = powers[n] - 1
-        if diff.valuation is None:
-            raise PrecisionError(
-                "cannot separate alpha^%d from 1 at precision O(p^%d)"
-                % (n, diff.norm_exponent())
-            )
-    # an exact polynomial needs exact vanishing, which finite precision
-    # can demonstrate false but never true; every point is still scanned
-    # for a demonstrably nonzero value before giving up
-    for n, beta in enumerate(powers):
+    for n in range(bound_k + 1):
+        beta = alpha ** n
         value = g.evaluate([beta])
-        if tau is None:
-            nonzero = value.valuation is not None
-        else:
-            try:
-                nonzero = not value.is_zero_to(tau)
-            except PrecisionError:
-                raise PrecisionError(
-                    "value at alpha^%d known only to O(p^%d); tail precision %d needed"
-                    % (n, value.abs_prec, tau)
-                )
-        if nonzero:
+        if value.valuation is not None:
             return {
                 "ok": False,
                 "kind": "refusal",
@@ -406,15 +388,11 @@ def vanish_certificate(g, alpha, bound_k):
                 "point": beta.to_json(),
                 "value": value.to_json(),
             }
-    if tau is None:
-        raise PrecisionError(
-            "exact vanishing cannot be certified at finite precision; supply a tail bound"
-        )
+    val, (n,) = min(above)
     return {
-        "ok": True,
-        "kind": "strassmann",
-        "count": count,
-        "points_used": bound_k + 1,
-        "tail_exp": tau,
-        "scaling_valuation": s,
+        "ok": False,
+        "kind": "refusal",
+        "reason": "coefficient above the tail precision",
+        "coefficient": n,
+        "valuation": val,
     }

@@ -344,6 +344,14 @@ def test_verify_counts(monkeypatch, capsys):
     assert code == 1 and out["verified"] is False
 
 
+def test_verify_counts_with_a_zero_coset_above_the_hull(monkeypatch, capsys):
+    # 1 + O(5) T + T^2: the coset lies above the slope-0 segment
+    series = series_doc(5, [1, 0, 1])
+    series["terms"].append({"exp": [1], "coeff": PadicScalar.zero_at(5, 1).to_json()})
+    doc = {"kind": "counts", "series": series, "count": 2}
+    assert run_cli(["verify"], doc, monkeypatch, capsys)[:2] == (0, {"verified": True, "count": 2})
+
+
 def certified_conic(monkeypatch, capsys):
     """A verify kind=conic document for the graph y = x^2, with the
     certificate that conic-check issued for it."""
@@ -416,6 +424,50 @@ def test_verify_conic_bounds_the_claimed_orbit(used, code, out, monkeypatch, cap
 
     monkeypatch.setattr(WeightedAction, "orbit_point", no_orbit)
     assert run_cli(["verify"], vdoc, monkeypatch, capsys)[:2] == (code, out)
+
+
+def x_minus_one_conic(tail_exp):
+    """A conic-check document for the locus x - 1 = O(5^tail_exp) through
+    x = 1 under alpha = 1 + 5^3: every orbit value lies below the tail,
+    yet beta = 0 gives -1."""
+    disc = {"p": 5, "dim": 1, "radius_exp": 0}
+    minus_one, one = (PadicScalar.from_int(5, c, 10).to_json() for c in (-1, 1))
+    line = {
+        "disc": disc,
+        "terms": [{"exp": [0], "coeff": minus_one}, {"exp": [1], "coeff": one}],
+        "tail_exp": tail_exp,
+    }
+    return {
+        "locus": {"disc": disc, "equations": [line]},
+        "action": {"p": 5, "weights": [1], "alpha": PadicScalar.from_int(5, 126, 10).to_json()},
+        "point": [1],
+    }
+
+
+def test_conic_check_refuses_an_exact_term_above_the_tail(monkeypatch, capsys):
+    doc = x_minus_one_conic(3)
+    code, out, _ = run_cli(["conic-check"], doc, monkeypatch, capsys)
+    assert code == 1 and out == {
+        "ok": False,
+        "kind": "refusal",
+        "reason": "coefficient above the tail precision",
+        "coefficient": 0,
+        "valuation": 0,
+        "equation": 0,
+    }
+    # the false certificate the orbit walk used to accept, and a forged
+    # trivial one for the exact x - 1, are both checked against the terms
+    old_equation = dict(
+        ok=True, kind="strassmann", count=1, points_used=9, tail_exp=3, scaling_valuation=3, equation=0
+    )
+    accepted = {"ok": True, "kind": "conic", "points_used": 9, "equations": [old_equation]}
+    forged = {"ok": True, "points_used": 0}
+    for vdoc in (dict(doc, certificate=accepted), dict(x_minus_one_conic(None), certificate=forged)):
+        code, out, _ = run_cli(["verify"], dict(vdoc, kind="conic"), monkeypatch, capsys)
+        assert code == 1 and out == {
+            "verified": False,
+            "reason": "equation 0 does not vanish along the orbit",
+        }
 
 
 def test_shape_check_exit_codes(monkeypatch, capsys):

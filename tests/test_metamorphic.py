@@ -1,16 +1,17 @@
 """Relations between CLI answers that need no oracle for the answer itself.
 
 Precision: at two working precisions n' < n, a `teichmuller` lift at n'
-is the truncation of the lift at n, and `find-torsion` finds the same
-components, torsion points, orders, automorphism powers and residue
-characters, since those are exact and only the p-adic digits depend on
-the precision.
+is the truncation of the lift at n, an `exp` or `log` answer at n' is
+the truncation of the answer at n or a zero coset that contains it, and
+`find-torsion` finds the same components, torsion points, orders,
+automorphism powers and residue characters, since those are exact and
+only the p-adic digits depend on the precision.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicloci.padic import PadicScalar, exp_domain_bound
+from padicloci.padic import PadicScalar, exp_domain_bound, scalar_from_json
 from test_acceptance import run_command
 
 PRIMES = (2, 3, 5, 7, 13)
@@ -45,6 +46,39 @@ def test_teichmuller_at_less_precision_is_a_truncation(p, f, data, precs):
     if f == 1:
         lo_digits, hi_digits = [lo_digits], [hi_digits]
     assert [d[: precs[0]] for d in hi_digits] == lo_digits
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    cmd=st.sampled_from(("exp", "log")),
+    k=st.integers(0, 5),
+    u=st.integers(1, 10 ** 6),
+    as_document=st.booleans(),
+    precs=two_precisions(most=40),
+)
+def test_exp_and_log_at_less_precision_are_truncations(p, cmd, k, u, as_document, precs):
+    # x = p^k u for exp and 1 + p^k u for log, exact or a document known
+    # to the working precision; k = 0 draws the domain refusals too
+    x = p ** k * u + (cmd == "log")
+    (lo_code, lo), (hi_code, hi) = (
+        run_command(
+            [cmd],
+            {"p": p, "x": PadicScalar.from_int(p, x, n).to_json() if as_document else x, "precision": n},
+        )
+        for n in precs
+    )
+    # fewer digits may leave x - 1 a zero coset too coarse for log's
+    # domain gate, but more digits never turn an answer into a refusal
+    assert lo_code or not hi_code
+    if lo_code or hi_code:
+        return
+    lo, hi = (scalar_from_json(a["value"]) for a in (lo, hi))
+    assert lo.abs_prec <= hi.abs_prec
+    if lo.valuation is None:  # a zero coset holds every value its precision cannot tell apart
+        assert hi.norm_exponent() >= lo.abs_prec
+    else:
+        assert hi.truncate_abs(lo.abs_prec) == lo
 
 
 @st.composite

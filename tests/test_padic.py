@@ -112,16 +112,6 @@ def test_zero_coset_absorbing_rules():
     assert (z + z).valuation is None
 
 
-def test_is_zero_to_three_way():
-    z = PadicScalar.zero_at(5, 3)
-    assert z.is_zero_to(3) is True
-    with pytest.raises(PrecisionError):
-        z.is_zero_to(4)
-    x = PadicScalar.from_int(5, 25, 4)
-    assert x.is_zero_to(2) is True
-    assert x.is_zero_to(3) is False
-
-
 def test_truncate_refuses_to_refine():
     x = PadicScalar.from_int(5, 7, 3)
     assert rep_int(x.truncate_abs(2)) == 7

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from padicloci.padic import DomainError, PadicScalar, PrecisionError
+from padicloci.padic import DomainError, PadicScalar, PrecisionError, exp_domain_bound
 from padicloci.series import (
     AnalyticSeries,
     NewtonPolygon,
@@ -98,6 +100,23 @@ def test_newton_polygon_pinned():
     assert np2.segments == ((Fraction(-1), 1),)
     assert np2.root_count_with_valuation_at_least(1) == 3
     assert np2.root_count_with_valuation_at_least(2) == 2
+
+
+def test_newton_polygon_zero_coset_paths():
+    disc, z = PolyDisc(5, 1, 0), PadicScalar.zero_at
+    five, one = PadicScalar.from_int(5, 5, 6), PadicScalar.one(5, 6)
+    # 1 + O(5) T + T^2: the coset lies above the slope-0 segment
+    above = AnalyticSeries(disc, {(0,): one, (1,): z(5, 1), (2,): one})
+    assert newton_polygon(above).segments == ((Fraction(0), 2),)
+    assert strassmann_count(above) == 2
+    # 5 + O(1) T + 5 T^2: the coset may dip below the chord at height 1
+    below = AnalyticSeries(disc, {(0,): five, (1,): z(5, 0), (2,): five})
+    with pytest.raises(PrecisionError, match="possibly below the hull"):
+        newton_polygon(below)
+    # 5 + 5 T^2 + O(5) T^3: no hull point bounds a coset past the last exact term
+    past = AnalyticSeries(disc, {(0,): five, (2,): five, (3,): z(5, 1)})
+    with pytest.raises(PrecisionError, match="unknown valuation at the hull boundary"):
+        newton_polygon(past)
 
 
 def test_newton_polygon_constructor_invariants():
@@ -239,10 +258,86 @@ def test_vanish_certificate_with_tail_bound_succeeds():
 def test_vanish_certificate_never_certifies_exact_vanishing_numerically():
     p = 5
     # 1 - T at one digit of precision: every sampled value is a zero coset,
-    # yet exact vanishing is false; the only honest outcome is a refusal
-    # to decide, not a certificate
+    # yet exact vanishing is false; the stored terms refuse, naming the
+    # exact term that no orbit value could show nonzero
     one = PadicScalar.one(p, 1)
     g = AnalyticSeries(PolyDisc(p, 1, 0), {(0,): one, (1,): -one})
     alpha = PadicScalar.from_int(p, 6, 2)
+    assert vanish_certificate(g, alpha, 1) == {
+        "ok": False,
+        "kind": "refusal",
+        "reason": "coefficient above the tail precision",
+        "coefficient": 0,
+        "valuation": 0,
+    }
+
+
+def test_vanish_certificate_mixed_terms_are_trivial_at_the_least_bound():
+    # exact terms at or below the tail and a zero coset above it: the
+    # series is zero to the coset's bound, which strassmann_count refuses
+    p = 5
+    g = AnalyticSeries(
+        PolyDisc(p, 1, 0),
+        {(0,): PadicScalar.from_int(p, 125, 6), (1,): PadicScalar.zero_at(p, 2)},
+        tail_exp=3,
+    )
     with pytest.raises(PrecisionError):
-        vanish_certificate(g, alpha, 1)
+        strassmann_count(g)
+    res = vanish_certificate(g, PadicScalar.from_int(p, 6, 8), 2)
+    assert res == {"ok": True, "kind": "trivial", "points_used": 0, "tail_exp": 2}
+
+
+@st.composite
+def orbit_cases(draw):
+    """A series on the unit disc with exact and zero-coset coefficients, a
+    random or null tail, alpha = 1 mod p^s, and a point budget.  The exact
+    part may be made to vanish at 1, so that every orbit value can lie
+    below the tail while exact terms lie above it."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    exact, terms = {}, {}
+    n = 0
+    for n in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("exact", "coset", "absent")))
+        if kind == "exact":
+            exact[n] = draw(st.integers(-p, p).filter(bool))
+        elif kind == "coset":
+            terms[(n,)] = PadicScalar.zero_at(p, draw(st.integers(0, 6)))
+    if sum(exact.values()) and draw(st.booleans()):
+        exact[n + 1] = -sum(exact.values())
+    terms.update({(n,): PadicScalar.from_int(p, c, 12) for n, c in exact.items()})
+    tail = draw(st.none() | st.integers(0, 6))
+    s = draw(st.integers(exp_domain_bound(p), 4))
+    alpha = PadicScalar.from_int(p, 1 + p ** s * draw(st.integers(1, p)), 12)
+    return AnalyticSeries(PolyDisc(p, 1, 0), terms, tail), alpha, draw(st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_cases())
+@example(  # x - 1 = O(5^3) along alpha = 1 + 5^3: every orbit value is below the tail
+    (
+        AnalyticSeries(PolyDisc(5, 1, 0), poly_series(5, [-1, 1], 10).terms, tail_exp=3),
+        PadicScalar.from_int(5, 126, 10),
+        8,
+    )
+)
+def test_vanish_certificate_is_decided_by_the_stored_terms(case):
+    g, alpha, bound_k = case
+    tau = g.tail_exp
+    bounds = [c.norm_exponent() for c in g.terms.values()]
+    exact_above = [
+        c for c in g.terms.values() if c.valuation is not None and (tau is None or c.valuation < tau)
+    ]
+    try:
+        res = vanish_certificate(g, alpha, bound_k)
+    except PrecisionError:
+        assert exact_above  # only an ambiguous zero count of a nonzero series raises
+        return
+    if res["ok"]:
+        assert not exact_above and res["kind"] == "trivial"
+        stated = res["tail_exp"]
+        if stated is None:
+            assert not bounds and tau is None
+        else:
+            assert all(b >= stated for b in bounds) and (tau is None or tau >= stated)
+    else:
+        assert exact_above and res["kind"] == "refusal"
