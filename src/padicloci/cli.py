@@ -30,6 +30,7 @@ from itertools import product
 
 from .padic import (
     PadicScalar,
+    Refusal,
     UnramifiedScalar,
     _check_precision,
     _json_int,
@@ -52,10 +53,6 @@ _VARS_CAP = 256
 
 class SchemaError(Exception):
     """Input document fails the command schema."""
-
-
-class Refusal(Exception):
-    """An explicit refusal: exit 1 with {"refusal": message}."""
 
 
 def _need(doc, key, kinds=None):
@@ -121,21 +118,23 @@ def _decode(what, fn, *args):
         raise SchemaError("bad %s: %s" % (what, e))
 
 
-def _over_cap(order, dim):
-    """Whether the ambient rank or the order**dim grid is over the cap,
-    without raising a huge order to a huge power (2**18 is already over
-    it).  The rank counts at order 1 too: the one grid point still has
-    dim coordinates."""
-    return dim > _VERIFY_GRID_CAP or (
+def _check_grid(order, dim, grid):
+    """order, or a refusal of the named grid when the ambient rank or the
+    order**dim grid is over the cap, found without raising a huge order
+    to a huge power (2**18 is already over it).  The rank counts at
+    order 1 too: the one grid point still has dim coordinates."""
+    if dim > _VERIFY_GRID_CAP or (
         order > 1
         and (dim >= _VERIFY_GRID_CAP.bit_length() or order ** dim > _VERIFY_GRID_CAP)
-    )
+    ):
+        raise Refusal("%s grid too large" % grid)
+    return order
 
 
-def _grid_order(doc, args, nvars):
-    """The scan order bound, or None when its character grid is over the cap."""
-    order = _positive_field(doc, "order_bound", args.order_bound or 6)
-    return None if _over_cap(order, nvars) else order
+def _grid_order(doc, args, nvars, grid):
+    """The scan order bound, refused as the named grid when its character
+    grid is over the cap."""
+    return _check_grid(_positive_field(doc, "order_bound", args.order_bound or 6), nvars, grid)
 
 
 def _precision(doc, args, default):
@@ -293,9 +292,7 @@ def _cmd_solve_binomial(doc, args):
 def _cmd_enumerate_torsion(doc, args):
     from .cosets import TorsionCoset, enumerate_torsion
     coset = _decode("coset", TorsionCoset.from_json, _need(doc, "coset", dict))
-    order = _positive_field(doc, "order", args.order_bound)
-    if _over_cap(order, coset.dim):
-        return 1, {"refusal": "torsion grid too large"}
+    order = _check_grid(_positive_field(doc, "order", args.order_bound), coset.dim, "torsion")
     pts = enumerate_torsion(coset, order)
     return 0, {"count": len(pts), "points": [[str(q) for q in t] for t in pts]}
 
@@ -319,7 +316,7 @@ def _cmd_cohomology(doc, args):
     cplx = _complex_in(doc)
     char = _character_in(doc, "character", cplx.nvars)
     if math.lcm(*(q.denominator for q in char)) > _VERIFY_GRID_CAP:
-        return 1, {"refusal": "character order too large"}
+        raise Refusal("character order too large")
     return 0, {"h": list(specialize(cplx, char))}
 
 
@@ -328,25 +325,21 @@ def _cmd_jumping_scan(doc, args):
     cplx = _complex_in(doc)
     i = _int_field(doc, "i")
     j = _int_field(doc, "j")
-    order = _grid_order(doc, args, cplx.nvars)
-    if order is None:
-        return 1, {"refusal": "scan grid too large"}
+    order = _grid_order(doc, args, cplx.nvars, "scan")
     return 0, scan_torsion(cplx, i, j, order).to_json()
 
 
 def _cmd_fitting(doc, args):
-    from .complexes import SIZE_LIMIT_MESSAGE, fitting_locus
+    from .complexes import fitting_locus
     cplx = _complex_in(doc)
     i = _int_field(doc, "i")
     j = _int_field(doc, "j")
     gens = fitting_locus(cplx, i, j)
-    if gens == SIZE_LIMIT_MESSAGE:
-        return 1, {"refusal": SIZE_LIMIT_MESSAGE}
     return 0, {"count": len(gens), "generators": [g.to_json() for g in gens]}
 
 
 def _cmd_shape_check(doc, args):
-    from .complexes import SIZE_LIMIT_MESSAGE, fitting_locus, scan_torsion, shape_check
+    from .complexes import fitting_locus, scan_torsion, shape_check
     from .laurent import laurent_from_json
     if "generators" in doc:
         nvars = _positive_field(doc, "vars")
@@ -361,12 +354,8 @@ def _cmd_shape_check(doc, args):
         j = _int_field(doc, "j")
         order = None
         if "order_bound" in doc or args.order_bound:
-            order = _grid_order(doc, args, cplx.nvars)
-            if order is None:
-                return 1, {"refusal": "scan grid too large"}
+            order = _grid_order(doc, args, cplx.nvars, "scan")
         gens = fitting_locus(cplx, i, j)
-        if gens == SIZE_LIMIT_MESSAGE:
-            return 1, {"refusal": SIZE_LIMIT_MESSAGE}
         scan = None if order is None else scan_torsion(cplx, i, j, order)
         verdict = shape_check(gens, nvars=cplx.nvars, scan=scan)
     code = 0 if verdict["verdict"] == "shape confirmed" else 1
@@ -389,9 +378,7 @@ def _component_in(doc, dim):
 def _verify_solve(doc, args):
     system = _system_in(doc)
     comps = [_component_in(c, system.dim) for c in _need(doc, "components", list)]
-    order = _grid_order(doc, args, system.dim)
-    if order is None:
-        return 1, {"refusal": "verification grid too large"}
+    order = _grid_order(doc, args, system.dim, "verification")
     # each pin's target order * e as an integer, or -1, met by no residue, when it is not one
     pins = [
         (v, order // e.denominator * e.numerator if order % e.denominator == 0 else -1)
@@ -458,7 +445,7 @@ def _verify_conic(doc, args):
     if used < 0:
         raise SchemaError("field 'points_used' must be >= 0")
     if used > _ORBIT_CAP:
-        return 1, {"refusal": "orbit too large"}
+        raise Refusal("orbit too large")
     for i, f in enumerate(locus.equations):
         if restrict_to_orbit(f, point, action.weights).exact_above_tail():
             return 1, {"verified": False, "reason": "equation %d does not vanish along the orbit" % i}

@@ -43,7 +43,7 @@ from operator import mul
 from .cyclotomic import CycNumber, modular_root
 from .laurent import LaurentPoly, laurent_det, laurent_from_json
 from .linalg import rank_division_free, rank_mod_prime
-from .padic import _json_int
+from .padic import Refusal, _json_int
 
 
 class TwistedComplex:
@@ -321,6 +321,8 @@ def scan_torsion(cplx, i, j, order_bound):
 # ---------------------------------------------------------------------------
 
 SIZE_LIMIT_MESSAGE = "size limit exceeded"
+# the most rows or columns of a map whose minors `fitting_locus` takes
+_MATRIX_CAP = 6
 _PRODUCT_CAP = 5000
 
 
@@ -372,7 +374,7 @@ def fitting_locus(cplx, i, j):
     satisfied rank bounds, a clause with no surviving generator means
     the whole character torus, and a clause containing a unit is an
     empty piece and is dropped.  Matrices beyond the size cap or
-    oversized clause products give an explicit refusal string.
+    oversized clause products raise `Refusal(SIZE_LIMIT_MESSAGE)`.
     """
     if not 0 <= i < len(cplx.dims):
         raise ValueError("cohomological index out of range")
@@ -383,8 +385,8 @@ def fitting_locus(cplx, i, j):
     upper = cplx.mats[i] if i < len(cplx.mats) else None
     lower = cplx.mats[i - 1] if i > 0 else None
     for m in (upper, lower):
-        if m is not None and max(len(m), len(m[0])) > 6:
-            return SIZE_LIMIT_MESSAGE
+        if m is not None and max(len(m), len(m[0])) > _MATRIX_CAP:
+            raise Refusal(SIZE_LIMIT_MESSAGE)
     clauses = []
     seen = set()
     for a in range(c):
@@ -407,7 +409,7 @@ def fitting_locus(cplx, i, j):
     for cl in clauses:
         total *= len(cl)
     if total > _PRODUCT_CAP:
-        return SIZE_LIMIT_MESSAGE
+        raise Refusal(SIZE_LIMIT_MESSAGE)
     out = {}
     for pick in product(*clauses):
         g = pick[0]

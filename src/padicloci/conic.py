@@ -25,11 +25,10 @@ class WeightedAction:
     """Coordinatewise scaling by beta**w_i with a pinned generator alpha.
 
     alpha must be a principal unit other than 1; check_scaling_unit
-    certifies that (and hence that alpha is not a root of unity), and
-    the resulting valuation of alpha - 1 is kept on the instance.
+    certifies that (and hence that alpha is not a root of unity).
     """
 
-    __slots__ = ("p", "weights", "alpha", "scaling_valuation")
+    __slots__ = ("p", "weights", "alpha")
 
     def __init__(self, p, weights, alpha):
         check_prime(p)
@@ -38,7 +37,7 @@ class WeightedAction:
             raise ValueError("weights must be positive integers")
         self.p = p
         self.weights = tuple(int(w) for w in weights)
-        self.scaling_valuation = check_scaling_unit(alpha, p)
+        check_scaling_unit(alpha, p)
         self.alpha = alpha
 
     @property

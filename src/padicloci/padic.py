@@ -51,6 +51,10 @@ class DomainError(ValueError):
     """Input lies outside the convergence region of the requested map."""
 
 
+class Refusal(Exception):
+    """An explicit refusal: the CLI exits 1 with {"refusal": message}."""
+
+
 # deterministic Miller-Rabin: these bases decide primality below the limit
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
@@ -239,8 +243,10 @@ _MODULUS_CACHE = {}
 # the largest residue degree f.  At f = 20 the modulus search takes
 # 0.005 s at p = 2 and 0.5 s at p = 101 and near the largest prime, but
 # 4.9 s at p = 1181, whose first 1181 candidates are all reducible.
-# Every root of unity under the 10**6-element residue-field cap has f <= 19
+# Every root of unity under the residue-field cap has f <= 19
 _DEGREE_CAP = 20
+# the most elements of a residue field the generator search walks
+_RESIDUE_FIELD_CAP = 10 ** 6
 
 
 def modulus_poly(p, f):
@@ -694,7 +700,7 @@ def multiplicative_generator(p, f):
     if got is not None:
         return got
     q = p ** f
-    if q > 10 ** 6:
+    if q > _RESIDUE_FIELD_CAP:
         raise ValueError("residue field too large for the generator search (q = %d)" % q)
     h = modulus_poly(p, f)
     one = [1] + [0] * (f - 1)
@@ -753,13 +759,13 @@ def embed_root_of_unity(p, frac, prec):
     c = frac.numerator
     if n % p == 0:
         raise ValueError("order divisible by p has no unramified root of unity")
-    # f is the order of p mod n; the search stops once p**f passes 10**6
+    # f is the order of p mod n; the search stops once p**f passes the cap
     f = 1
     acc = p % n
-    while acc != 1 and p ** f <= 10 ** 6:
+    while acc != 1 and p ** f <= _RESIDUE_FIELD_CAP:
         acc = acc * p % n
         f += 1
-    if p ** f > 10 ** 6:
+    if p ** f > _RESIDUE_FIELD_CAP:
         raise ValueError(
             "embedding needs residue field of size at least %d^%d; refusing beyond 10^6"
             % (p, f)

@@ -102,6 +102,12 @@ def _dense_pin(d):
     return {"lattice_basis": [[1] * d], "translate": ["0"], "dim": d - 1}
 
 
+def _column(rows):
+    # h^0 of a map with `rows` rows, each the cell t - 1
+    cell = [{"coeff": "1", "exp": [1]}, {"coeff": "-1", "exp": [0]}]
+    return {"complex": {"vars": 1, "dims": [1, rows], "matrices": [[[cell]] * rows]}, "i": 0, "j": 0}
+
+
 def _trivial_hit(out):
     return out["hits"] == [["0"] * len(out["hits"][0])]
 
@@ -243,6 +249,14 @@ EDGES = {
     "wedge-256": ("jumping-scan", _scan({"builtin": "wedge", "n": 256}), 0, _trivial_hit),
     "surface-129": ("jumping-scan", _scan({"builtin": "surface", "genus": 129}), 1, _SIZE_LIMIT),
     "surface-128": ("jumping-scan", _scan({"builtin": "surface", "genus": 128}), 0, _trivial_hit),
+    # a map with more than 6 rows or columns, whose minors `fitting` takes
+    "fitting-rows-7": ("fitting", _column(7), 1, _SIZE_LIMIT),
+    "fitting-rows-6": (
+        "fitting",
+        _column(6),
+        0,
+        {"count": 1, "generators": [[{"coeff": "1", "exp": [0]}, {"coeff": "-1", "exp": [1]}]]},
+    ),
     # a residue degree above 20 (the 320 took 49.6 s in the modulus search)
     "residue-degree-21": (
         "teichmuller",

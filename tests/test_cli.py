@@ -1,9 +1,11 @@
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -1072,6 +1074,59 @@ def test_readme_flag_table_names_exactly_the_parser_flags():
     assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
     flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
     assert documented == flags - {"--help"}
+
+
+def _refusal_sites():
+    """The "refusal" keys built under src/, as (module, enclosing function),
+    and the messages Refusal(...) is raised with there, as regular
+    expressions: a literal, a module-level string constant it names, or a
+    %s template."""
+    src = pathlib.Path(cli.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+    consts = {
+        t.id: node.value.value
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for t in node.targets
+    }
+    keys, messages = [], []
+    for module, tree in sorted(trees.items()):
+        stack = [(tree, None)]
+        while stack:
+            node, scope = stack.pop()
+            if isinstance(node, ast.FunctionDef):
+                scope = node.name
+            stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+            if (
+                isinstance(node, ast.Dict)
+                and any(isinstance(k, ast.Constant) and k.value == "refusal" for k in node.keys)
+                or isinstance(node, ast.keyword) and node.arg == "refusal"
+                or isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.slice, ast.Constant)
+                and node.slice.value == "refusal"
+            ):
+                keys.append((module, scope))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Refusal":
+                [arg] = node.args
+                if isinstance(arg, ast.Constant):
+                    messages.append(re.escape(arg.value))
+                elif isinstance(arg, ast.Name):
+                    messages.append(re.escape(consts[arg.id]))
+                else:
+                    assert isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mod), ast.dump(arg)
+                    messages.append(r"\S+".join(map(re.escape, arg.left.value.split("%s"))))
+    return keys, messages
+
+
+def test_cli_main_alone_writes_refusals_and_readme_lists_every_message():
+    keys, messages = _refusal_sites()
+    assert keys == [("cli", "main")]
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    exit_one = readme.read_text(encoding="utf-8").split("Exit 1 is", 1)[1].split("Exit 2 is", 1)[0]
+    missing = [m for m in messages if not re.search(r'\{"refusal":"%s"\}' % m, exit_one)]
+    assert messages and not missing
 
 
 def test_fitting_lists_a_generator_once_whatever_order_its_coefficients_carry(

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicloci.complexes import (
-    SIZE_LIMIT_MESSAGE,
     TwistedComplex,
     _binomial_equation,
     _normalize_associate,
@@ -25,6 +24,7 @@ from padicloci.complexes import (
 from padicloci.cosets import TorsionCoset, enumerate_torsion
 from padicloci.cyclotomic import CycNumber, modular_root
 from padicloci.laurent import LaurentPoly
+from padicloci.padic import Refusal
 
 from complex_oracles import (
     binomial_equation_by_division,
@@ -394,7 +394,6 @@ def test_fitting_trivial_threshold_and_h0():
     tor = torus_complex()
     f3 = fitting_locus(tor, 1, 2)
     assert len(f3) == 1 and len(f3[0].terms) == 1
-    assert fitting_locus(tor, 0, 0) is not SIZE_LIMIT_MESSAGE
     assert len(fitting_locus(tor, 0, 0)) == 2
 
 
@@ -412,9 +411,16 @@ def test_fitting_generators_vanish_exactly_on_the_jump_set():
 
 
 def test_fitting_size_cap():
-    entry = LaurentPoly.variable(1, 0) - LaurentPoly.constant(1, 1)
+    t = LaurentPoly.variable(1, 0)
+    entry = t - LaurentPoly.constant(1, 1)
     big = TwistedComplex(1, (7, 7), [[[entry] * 7 for _ in range(7)]])
-    assert fitting_locus(big, 0, 0) == SIZE_LIMIT_MESSAGE
+    with pytest.raises(Refusal, match="^size limit exceeded$"):
+        fitting_locus(big, 0, 0)
+    # a 6 x 6 map at h^0 > 4: 36 entries times 225 distinct 2-minors,
+    # none a unit, is over the 5000-generator product cap
+    mat = [[t - LaurentPoly.constant(1, (r + 2) ** (c + 1)) for c in range(6)] for r in range(6)]
+    with pytest.raises(Refusal, match="^size limit exceeded$"):
+        fitting_locus(TwistedComplex(1, (6, 6), [mat]), 0, 4)
 
 
 # -- shape checks -------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from padicloci.conic import AnalyticLocus, WeightedAction, conic_certificate
 from padicloci.laurent import LaurentPoly
 from padicloci.padic import DomainError, PadicScalar, coset_eq
-from padicloci.series import PolyDisc
+from padicloci.series import PolyDisc, check_scaling_unit
 
 from rational_loci import rational_locus
 
@@ -33,7 +33,7 @@ LINE = x_var(1) - x_var(0)  # x2 = x1, not weighted-homogeneous
 def test_weighted_action_basics():
     a = action()
     assert a.dim == 2
-    assert a.scaling_valuation == 1
+    assert check_scaling_unit(a.alpha, P) == 1
     c = PadicScalar.from_int(P, 3, PREC)
     beta = PadicScalar.from_int(P, 11, PREC)
     moved = a.act(beta, (c, c))

@@ -6,9 +6,12 @@ the truncation of the answer at n or a zero coset that contains it, and
 `find-torsion` finds the same components, torsion points, orders,
 automorphism powers and residue characters, since those are exact and
 only the p-adic digits depend on the precision.
+
+Coordinates: permuting the variables of a written-out complex permutes
+the `jumping-scan` hits in the same way.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicloci.padic import PadicScalar, exp_domain_bound, scalar_from_json
@@ -132,3 +135,79 @@ def test_find_torsion_exact_fields_do_not_depend_on_precision(p, system, data):
         assert [a.get(k) for k in EXACT_FIELDS] == [b.get(k) for k in EXACT_FIELDS]
         if a["status"] == "ok":
             assert (a["precision"], b["precision"]) == precs
+
+
+@st.composite
+def binomials(draw, nvars):
+    """t^u + i^k t^w as a JSON cell, and its negative."""
+    exps = st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars)
+    u, w, k = draw(exps), draw(exps), draw(st.integers(0, 3))
+    cell = [{"coeff": "1", "exp": u}, {"coeff": {"root": "%d/4" % k}, "exp": w}]
+    return cell, [{"coeff": "-1", "exp": u}, {"coeff": {"root": "%d/4" % (k + 2)}, "exp": w}]
+
+
+@st.composite
+def written_complexes(draw):
+    """A jumping-scan document on a written-out complex in 3 or 4
+    variables with binomial entries: one column map, or the Koszul
+    complex of two binomials f and g."""
+    nvars = draw(st.integers(3, 4))
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 3))
+        column = [[draw(binomials(nvars))[0]] for _ in range(rows)]
+        dims, matrices = [1, rows], [column]
+    else:
+        (f, _), (g, minus_g) = draw(binomials(nvars)), draw(binomials(nvars))
+        dims, matrices = [1, 2, 1], [[[f], [g]], [[minus_g, f]]]
+    i = draw(st.integers(0, len(dims) - 1))
+    return {
+        "complex": {"vars": nvars, "dims": dims, "matrices": matrices},
+        "i": i,
+        "j": draw(st.integers(0, dims[i] - 1)),
+        "order_bound": draw(st.integers(2, 4 if nvars == 3 else 3)),
+    }
+
+
+def _moved(exp, perm):
+    """exp with coordinate k moved to perm[k]."""
+    out = [None] * len(exp)
+    for k, e in enumerate(exp):
+        out[perm[k]] = e
+    return out
+
+
+def _permuted(doc, perm):
+    """The document with variable k renamed perm[k]."""
+    cplx = doc["complex"]
+    matrices = [
+        [[[dict(t, exp=_moved(t["exp"], perm)) for t in cell] for cell in row] for row in m]
+        for m in cplx["matrices"]
+    ]
+    return dict(doc, complex=dict(cplx, matrices=matrices))
+
+
+# t_1 - 1 on a rank-3 torus: its hits are the characters with a_1 = 0
+_LINE = [{"coeff": "1", "exp": [1, 0, 0]}, {"coeff": "-1", "exp": [0, 0, 0]}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=written_complexes(), data=st.data())
+@example(
+    doc={
+        "complex": {"vars": 3, "dims": [1, 1], "matrices": [[[_LINE]]]},
+        "i": 0,
+        "j": 0,
+        "order_bound": 2,
+    },
+    data=None,
+)
+def test_permuting_the_variables_permutes_the_scan_hits(doc, data):
+    nvars = doc["complex"]["vars"]
+    # a 3-cycle, which commutes with no transposition of two coordinates
+    perm = [1, 2, 0] if data is None else data.draw(st.permutations(range(nvars)))
+    (code, scan), (moved_code, moved) = (
+        run_command(["jumping-scan"], d) for d in (doc, _permuted(doc, perm))
+    )
+    assert code == moved_code == 0 and scan["scanned"] == moved["scanned"]
+    assume(scan["hits"])
+    assert sorted(_moved(h, perm) for h in scan["hits"]) == sorted(moved["hits"])
