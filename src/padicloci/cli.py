@@ -26,7 +26,8 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import compress, count, islice, product, repeat
+from operator import add, mul, ne
 
 from .padic import (
     PadicScalar,
@@ -46,6 +47,8 @@ INPUT_FREE = {"demo"}
 # largest character grid a scan or a verification may walk, and so the
 # largest character order `cohomology` takes (a one-variable scan's)
 _VERIFY_GRID_CAP = 200000
+# points of a verification grid tested against every component at once
+_VERIFY_BLOCK = 4096
 # most character variables a complex may have (a written-out complex's
 # vars, wedge n, surface 2 * genus)
 _VARS_CAP = 256
@@ -379,28 +382,52 @@ def _verify_solve(doc, args):
     system = _system_in(doc)
     comps = [_component_in(c, system.dim) for c in _need(doc, "components", list)]
     order = _grid_order(doc, args, system.dim, "verification")
-    # each pin's target order * e as an integer, or -1, met by no residue, when it is not one
+    # each pin as its head exponents, its last exponent mod order and its
+    # target order * e as an integer, or -1, met by no residue, when it is not one
     pins = [
-        (v, order // e.denominator * e.numerator if order % e.denominator == 0 else -1)
+        (v[:-1], v[-1] % order, -1 if order % e.denominator else order // e.denominator * e.numerator)
         for v, e in system.equations
     ]
-    # each pin's residue at the head, then advanced along the last coordinate
-    for head in product(range(order), repeat=system.dim - 1):
-        met = [True] * order
-        for v, t in pins:
-            r, step = sum(c * x for c, x in zip(v, head)), v[-1]
-            met = [m and (r + step * x) % order == t for m, x in zip(met, range(order))]
-        for x, satisfied in enumerate(met):
-            a = head + (x,)
-            holders = sum([c.contains(a, order) for c in comps])
-            if holders == satisfied:  # a solution is held once, a non-solution never
+    # one flag per point in lexicographic order, set on the solutions.  In
+    # the row of each head the first pin reads r + s * x = t (mod order) in
+    # the last coordinate x, whose solutions, when g = gcd(s, order) divides
+    # t - r, are one progression x0 + (order / g) Z; the other pins filter it
+    size = order ** system.dim
+    flags = bytearray(size) if pins else bytearray(b"\1") * size
+    if pins and pins[0][2] >= 0:
+        (v, s, t), *rest = pins
+        g = math.gcd(s, order)
+        step = order // g
+        inverse = pow(s // g, -1, step)
+        for row, head in enumerate(product(range(order), repeat=system.dim - 1)):
+            r = sum(map(mul, v, head))
+            if (t - r) % g:
                 continue
-            reason = "non-solution claimed by a component"
-            if satisfied:
-                reason = "solution covered %d times" % holders
-            point = [str(Fraction(y, order)) for y in a]
-            return 1, {"verified": False, "point": point, "reason": reason}
-    return 0, {"verified": True, "points_checked": order ** system.dim}
+            xs = range((t - r) // g * inverse % step, order, step)
+            for w, sk, tk in rest:
+                rk = sum(map(mul, w, head))
+                xs = [x for x in xs if (rk + sk * x) % order == tk]
+            for x in xs:
+                flags[row * order + x] = 1
+    # one membership test per point and component, a block of points at a
+    # time, so that a failure stops within a block of its point; a solution
+    # is held once, a non-solution never
+    grid = product(range(order), repeat=system.dim)
+    for start in range(0, size, _VERIFY_BLOCK):
+        points = list(islice(grid, _VERIFY_BLOCK))
+        held = bytes(len(points))
+        for c in comps:
+            held = list(map(add, held, map(c.contains, points, repeat(order))))
+        bad = next(compress(count(), map(ne, held, flags[start : start + _VERIFY_BLOCK])), None)
+        if bad is not None:
+            break
+    else:
+        return 0, {"verified": True, "points_checked": size}
+    reason = "non-solution claimed by a component"
+    if flags[start + bad]:
+        reason = "solution covered %d times" % held[bad]
+    point = [str(Fraction(y, order)) for y in points[bad]]
+    return 1, {"verified": False, "point": point, "reason": reason}
 
 
 def _verify_certificates(doc, args):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from padicloci import cli, complexes, padic
 from padicloci.cli import _VERIFY_GRID_CAP, _build_parser, main
-from padicloci.cosets import BinomialSystem, solve_binomial
+from padicloci.cosets import BinomialSystem, TorsionCoset, solve_binomial
 from padicloci.cyclotomic import CycNumber
 from padicloci.padic import PadicScalar
 from padicloci.series import _ORBIT_CAP
@@ -335,6 +335,147 @@ def test_verify_solve_matches_the_fraction_grid(data):
     code, out = verify_solve_oracle(system, comps, order)
     expected = json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
     assert stdout_of(["verify"], doc) == (code, expected)
+
+
+def _solve_doc(system_doc, comps, order):
+    return {
+        "kind": "solve",
+        "system": system_doc,
+        "components": [c.to_json() for c in comps],
+        "order_bound": order,
+    }
+
+
+def _counted_contains(monkeypatch):
+    """A class-level wrapper around TorsionCoset.contains, as the
+    benchmark's tracer installs it, and the list its calls land in."""
+    calls = []
+    original = TorsionCoset.contains
+
+    def contains(self, point, order=1):
+        calls.append(tuple(point))
+        return original(self, point, order)
+
+    monkeypatch.setattr(TorsionCoset, "contains", contains)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "order, exponents, rhs",
+    [(12, [2, 0, 4], "0"), (9, [3, 6], "1/3")],
+    ids=["rank-3-two-components", "rank-2-three-components"],
+)
+def test_verify_solve_tests_each_point_once_per_component(
+    order, exponents, rhs, monkeypatch, capsys
+):
+    # the benchmark's grid-points counter divides a passing verification's
+    # contains calls by its component count, so a pass tests every point
+    # once per component; a failure names the oracle's point and reason
+    d = len(exponents)
+    system_doc = {"dim": d, "equations": [{"exponents": exponents, "rhs": rhs}]}
+    system = BinomialSystem.from_json(system_doc)
+    comps = solve_binomial(system)
+    assert len(comps) >= 2
+    calls = _counted_contains(monkeypatch)
+    code, out, _ = run_cli(["verify"], _solve_doc(system_doc, comps, order), monkeypatch, capsys)
+    assert (code, out) == (0, {"verified": True, "points_checked": order ** d})
+    assert sorted(calls) == sorted(list(product(range(order), repeat=d)) * len(comps))
+    foreign = solve_binomial(BinomialSystem(d, [((1,) + (0,) * (d - 1), 0)]))
+    for variant in (comps + comps[:1], comps[1:] + foreign):
+        expected = verify_solve_oracle(system, variant, order)
+        doc = _solve_doc(system_doc, variant, order)
+        assert expected[0] == 1 and run_cli(["verify"], doc, monkeypatch, capsys)[:2] == expected
+
+
+def test_verify_solve_stops_within_a_block_of_the_first_failure(monkeypatch, capsys):
+    # a duplicated component fails at (0, 1/3), so a near-cap grid is
+    # tested only as far as the block that holds it
+    system_doc = {"dim": 2, "equations": [{"exponents": [2, -4], "rhs": "2/3"}]}
+    comps = solve_binomial(BinomialSystem.from_json(system_doc))
+    comps.append(comps[0])
+    calls = _counted_contains(monkeypatch)
+    code, out, _ = run_cli(["verify"], _solve_doc(system_doc, comps, 447), monkeypatch, capsys)
+    assert (code, out["point"], out["reason"]) == (1, ["0", "1/3"], "solution covered 2 times")
+    assert len(calls) == cli._VERIFY_BLOCK * len(comps)
+
+
+def test_verify_solve_counts_a_hundred_thousand_components():
+    # each component's tests are summed into one list of counts, so the
+    # number of components sets no depth of nested iterators; a C-stack
+    # overflow would kill the child, not pytest
+    copy = {"dim": 0, "lattice_basis": [[1]], "translate": ["0"]}
+    doc = {
+        "kind": "solve",
+        "system": {"dim": 1, "equations": [{"exponents": [1], "rhs": "0"}]},
+        "components": [copy] * 100000,
+        "order_bound": 2,
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicloci.cli", "verify"],
+        input=json.dumps(doc),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == (
+        '{"point":["0"],"reason":"solution covered 100000 times","verified":false}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "order, dim, equations",
+    [
+        (4, 2, [([2, 0], "0")]),
+        (8, 2, [([1, 0], "1/4")]),
+        (4, 2, [([1, 2], "0")]),
+        (4, 2, [([0, 2], "1/4")]),
+        (8, 2, [([0, 2], "1/4")]),
+        (6, 3, [([1, 2, 3], "1/3")]),
+        (4, 2, [([1, 1], "1/3")]),
+        (6, 3, [([0, 1, 2], "0"), ([1, 0, 1], "1/4")]),
+        (12, 2, [([0, 2], "0"), ([0, 3], "0")]),
+        (8, 2, [([1, 2], "0"), ([1, 4], "1/2")]),
+        (12, 2, [([1, 6], "0"), ([2, 4], "1/3")]),
+        (6, 1, [([3], "1/2")]),
+        (5, 1, [([-2], "2/5")]),
+        (1, 3, [([1, 1, 1], "1/2")]),
+    ],
+    ids=[
+        "last-exponent-0",
+        "last-exponent-0-off-target",
+        "gcd-2-some-rows",
+        "gcd-2-no-solutions",
+        "gcd-2-solutions",
+        "gcd-3-rank-3",
+        "target-minus-1",
+        "target-minus-1-in-a-later-pin",
+        "two-pins-one-progression",
+        "two-pins-meet",
+        "two-pins-disjoint",
+        "rank-1-empty-head",
+        "rank-1-negative-exponent",
+        "order-1",
+    ],
+)
+def test_verify_solve_row_congruences_match_the_oracle(order, dim, equations, monkeypatch, capsys):
+    # the solved list, one dropped, one duplicated, and a component of x_1 = 0
+    system_doc = {"dim": dim, "equations": [{"exponents": v, "rhs": e} for v, e in equations]}
+    system = BinomialSystem.from_json(system_doc)
+    comps = solve_binomial(system)
+    foreign = solve_binomial(BinomialSystem(dim, [((1,) + (0,) * (dim - 1), 0)]))
+    for variant in (comps, comps[1:], comps + comps[:1], comps + foreign):
+        doc = _solve_doc(system_doc, variant, order)
+        expected = verify_solve_oracle(system, variant, order)
+        assert run_cli(["verify"], doc, monkeypatch, capsys)[:2] == expected
+
+
+def test_verify_solve_names_the_first_solution_with_no_components(monkeypatch, capsys):
+    system_doc = {"dim": 2, "equations": [{"exponents": [2, -4], "rhs": "2/3"}]}
+    system = BinomialSystem.from_json(system_doc)
+    code, out, _ = run_cli(["verify"], _solve_doc(system_doc, [], 447), monkeypatch, capsys)
+    assert (code, out) == verify_solve_oracle(system, [], 447)
+    assert out["reason"] == "solution covered 0 times"
 
 
 def test_verify_counts(monkeypatch, capsys):
