@@ -379,36 +379,25 @@ def _component_in(doc, dim):
 
 
 def _verify_solve(doc, args):
+    from .cosets import torsion_walk
     system = _system_in(doc)
-    comps = [_component_in(c, system.dim) for c in _need(doc, "components", list)]
+    # each distinct component document is decoded once (the repr of parsed
+    # JSON tells its values apart); a repeated one is the same coset, still
+    # tested once per point for every place it holds
+    decoded = {}
+    comps = []
+    for c in _need(doc, "components", list):
+        key = repr(c)
+        if key not in decoded:
+            decoded[key] = _component_in(c, system.dim)
+        comps.append(decoded[key])
     order = _grid_order(doc, args, system.dim, "verification")
-    # each pin as its head exponents, its last exponent mod order and its
-    # target order * e as an integer, or -1, met by no residue, when it is not one
-    pins = [
-        (v[:-1], v[-1] % order, -1 if order % e.denominator else order // e.denominator * e.numerator)
-        for v, e in system.equations
-    ]
-    # one flag per point in lexicographic order, set on the solutions.  In
-    # the row of each head the first pin reads r + s * x = t (mod order) in
-    # the last coordinate x, whose solutions, when g = gcd(s, order) divides
-    # t - r, are one progression x0 + (order / g) Z; the other pins filter it
+    # one flag per point in lexicographic order, set on the solutions
     size = order ** system.dim
-    flags = bytearray(size) if pins else bytearray(b"\1") * size
-    if pins and pins[0][2] >= 0:
-        (v, s, t), *rest = pins
-        g = math.gcd(s, order)
-        step = order // g
-        inverse = pow(s // g, -1, step)
-        for row, head in enumerate(product(range(order), repeat=system.dim - 1)):
-            r = sum(map(mul, v, head))
-            if (t - r) % g:
-                continue
-            xs = range((t - r) // g * inverse % step, order, step)
-            for w, sk, tk in rest:
-                rk = sum(map(mul, w, head))
-                xs = [x for x in xs if (rk + sk * x) % order == tk]
-            for x in xs:
-                flags[row * order + x] = 1
+    flags = bytearray(size)
+    place = [order ** k for k in reversed(range(system.dim))]
+    for a in torsion_walk(system.dim, system.equations, order):
+        flags[sum(map(mul, a, place))] = 1
     # one membership test per point and component, a block of points at a
     # time, so that a failure stops within a block of its point; a solution
     # is held once, a non-solution never
@@ -430,35 +419,71 @@ def _verify_solve(doc, args):
     return 1, {"verified": False, "point": point, "reason": reason}
 
 
-def _verify_certificates(doc, args):
+def _certificate_fault(cert, system, auto):
+    """The first check a certificate fails, by name, or None."""
     from .cosets import TorsionCoset, sigma_stable
+    from .intlinalg import mat_vec
+    from .padic import _residue_degree, exp_domain_bound
+    comp = _component_in(_need(cert, "component", dict), system.dim)
+    point = _character_in(cert, "torsion_point", system.dim)
+    if not comp.contains(point):
+        return "point off its component"
+    if not sigma_stable(comp, auto):
+        return "component not stable"
+    for v, e in system.equations:
+        if sum(c * x for c, x in zip(v, point)) % 1 != e:
+            return "equation fails at the point"
+    order = math.lcm(1, *(q.denominator for q in point))
+    if order != _int_field(cert, "order"):
+        return "order mismatch"
+    p = _prime_field(cert)
+    if cert.get("status") != "ok":
+        return None if order % p == 0 else "status unavailable at p, but p does not divide the order"
+    if order % p == 0:
+        return "order shares a factor with p"
+    # the point's lift needs the residue degree f of its order (refused
+    # past the residue-field cap, as find-torsion refuses it), and the
+    # working precision is capped at that f
+    f = _residue_degree(p, order)
+    prec = _int_field(cert, "precision")
+    try:
+        _check_precision(p, f, prec)
+    except ValueError:
+        return "precision out of range"
+    bound = exp_domain_bound(p)
+    if prec <= bound:
+        return "precision out of range"
+    if cert.get("contraction_target_exp") != bound:
+        return "contraction_target_exp is not the exp domain bound"
+    if cert.get("contraction_exponent") != 0:
+        return "contraction_exponent is not 0"
+    through = _need(_need(cert, "translation", dict), "coset_through_identity", dict)
+    shifted = _decode("component", TorsionCoset.from_json, through)
+    if shifted.basis != comp.basis or any(shifted.translate):
+        return "translation witness broken"
+    conic = cert.get("conic")
+    if not (isinstance(conic, dict) and conic.get("ok")):
+        return "conic certificate missing"
+    # the least k >= 1 with A^k a = a mod order, walked no further than the
+    # claim or the orbit, whichever is shorter
+    sigma = _int_field(cert, "sigma_power")
+    a = [int(x * order) for x in point]
+    cur, k = [x % order for x in mat_vec(auto, a)], 1
+    while cur != a and k < sigma:
+        cur, k = [x % order for x in mat_vec(auto, cur)], k + 1
+    if cur != a or k != sigma:
+        return "sigma_power is not the period of the point"
+    return None
+
+
+def _verify_certificates(doc, args):
     system = _system_in(doc)
     auto = _automorphism_in(doc, system.dim)
     certs = _need(doc, "certificates", list)
     for k, cert in enumerate(certs):
-        comp = _component_in(_need(cert, "component", dict), system.dim)
-        point = _character_in(cert, "torsion_point", system.dim)
-        if not comp.contains(point):
-            return 1, {"verified": False, "index": k, "reason": "point off its component"}
-        if not sigma_stable(comp, auto):
-            return 1, {"verified": False, "index": k, "reason": "component not stable"}
-        for v, e in system.equations:
-            if sum(c * x for c, x in zip(v, point)) % 1 != e:
-                return 1, {"verified": False, "index": k, "reason": "equation fails at the point"}
-        order = math.lcm(1, *(q.denominator for q in point))
-        if order != _int_field(cert, "order"):
-            return 1, {"verified": False, "index": k, "reason": "order mismatch"}
-        if cert.get("status") == "ok":
-            p = _int_field(cert, "p")
-            if math.gcd(order, p) != 1:
-                return 1, {"verified": False, "index": k, "reason": "order shares a factor with p"}
-            through = _need(_need(cert, "translation", dict), "coset_through_identity", dict)
-            shifted = _decode("component", TorsionCoset.from_json, through)
-            if shifted.basis != comp.basis or any(shifted.translate):
-                return 1, {"verified": False, "index": k, "reason": "translation witness broken"}
-            conic = cert.get("conic")
-            if not (isinstance(conic, dict) and conic.get("ok")):
-                return 1, {"verified": False, "index": k, "reason": "conic certificate missing"}
+        reason = _certificate_fault(cert, system, auto)
+        if reason is not None:
+            return 1, {"verified": False, "index": k, "reason": reason}
     return 0, {"verified": True, "certificates_checked": len(certs)}
 
 

@@ -25,12 +25,11 @@ from operator import mul
 
 from .conic import AnalyticLocus, conic_certificate
 from .intlinalg import (
-    diagonal_of,
+    column_lattice,
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
     mat_vec,
-    smith_normal_form,
     transpose,
     vec_mat,
 )
@@ -86,8 +85,8 @@ class TorsionCoset:
     normal form with the pinned values carried through the same row
     operations, values are reduced mod 1, and dependent input rows must
     carry value 0 mod 1 or the pins were contradictory.  The r basis rows
-    span a saturated lattice exactly when their columns span Z^r, which
-    is grown one column at a time, so equal cosets compare equal.
+    span a saturated lattice exactly when their columns span Z^r, so
+    equal cosets compare equal.
     """
 
     __slots__ = ("ambient", "basis", "translate", "_pins")
@@ -111,12 +110,7 @@ class TorsionCoset:
         self.basis = tuple(tuple(r) for r in hnf)
         self.translate = tuple(v % 1 for v in carried)
         self._pins = tuple((r, v.numerator, v.denominator) for r, v in zip(hnf, self.translate))
-        unit, span = identity_matrix(len(hnf)), []
-        for col in zip(*hnf):
-            if span == unit:
-                break
-            span = hermite_normal_form(span + [list(col)])[0]
-        if span != unit:
+        if column_lattice(hnf) != identity_matrix(len(hnf)):
             raise ValueError("character lattice is not saturated")
 
     @property
@@ -160,78 +154,72 @@ class TorsionCoset:
         return cls(_json_int(doc["dim"]) + len(basis), basis, vals)
 
 
-def _coset_key(c):
-    return (c.dim, c.basis, c.translate)
-
-
 def solve_binomial(system):
     """All solution components of a binomial system, as sorted cosets.
 
-    Smith reduction of the exponent matrix turns the system into
-    independent cyclic conditions s_k y_k = e_k in Q/Z.  Each nonzero
-    s_k pins one new coordinate with s_k possible values, a zero s_k
-    with nonzero right side kills the system, and the remaining
-    coordinates stay free; an inconsistent system yields the empty
-    list, never an error, and more than _COMPONENT_CAP components raise
-    ValueError.  The pinned characters pull back to rows of the inverse
-    column transform W^-1, which are saturated because any subset of rows
-    of a unimodular matrix is; U A W = D gives U A = D W^-1, so row k of
-    W^-1 is row k of U A divided exactly by s_k.
+    The Hermite form H of the exponent rows carries the right sides c,
+    and a dependent row left with a right side other than 0 mod 1 means
+    there is no solution: the empty list, never an error.  The columns of
+    H span a lattice with Hermite basis G, so H = G^T S with S integral,
+    and the columns of S span Z^r: S pins the saturation of the row
+    lattice.  Each solution of G^T zeta = c in (Q/Z)^r is one component
+    {x : S x = zeta}, |det G| of them, all of order dividing |det G| times
+    the denominators of c; more than _COMPONENT_CAP raise ValueError.
     """
     d = system.dim
-    if not system.equations:
-        return [TorsionCoset(d, (), ())]
-    rows = [list(v) for v, _ in system.equations]
-    u, dmat, _ = smith_normal_form(rows)
-    rhs = [e for _, e in system.equations]
-    moved = [sum(c * e for c, e in zip(urow, rhs)) % 1 for urow in u]
-    diag = diagonal_of(dmat)
-    pinned = []
-    for k, e in enumerate(moved):
-        s = diag[k] if k < len(diag) else 0
-        if s == 0:
-            if e:
-                return []
-        else:
-            pinned.append((k, s))
-    count = math.prod(s for _, s in pinned)
+    hnf, values, leftover = hermite_normal_form(
+        [list(v) for v, _ in system.equations], [e for _, e in system.equations]
+    )
+    if any(v % 1 for v in leftover):
+        return []
+    g = column_lattice(hnf)
+    count = math.prod(g[i][i] for i in range(len(g)))
     if count > _COMPONENT_CAP:
         raise ValueError("%d components are over the cap of %d" % (count, _COMPONENT_CAP))
-    basis = [[x // s for x in vec_mat(u[k], rows)] for k, s in pinned]
-    out = []
-    for choice in product(*(range(s) for _, s in pinned)):
-        vals = [(moved[k] + j) / s for (k, s), j in zip(pinned, choice)]
-        out.append(TorsionCoset(d, basis, vals))
-    out.sort(key=_coset_key)
+    # forward substitution through the lower triangular G^T, exact
+    basis = []
+    for i, row in enumerate(hnf):
+        for j, prev in enumerate(basis):
+            row = [x - g[j][i] * y for x, y in zip(row, prev)]
+        basis.append([x // g[i][i] for x in row])
+    order = count * math.lcm(1, *(v.denominator for v in values))
+    out = [
+        TorsionCoset(d, basis, [Fraction(a, order) for a in pt])
+        for pt in torsion_walk(len(g), list(zip(transpose(g), values)), order)
+    ]
+    # the components share their basis and differ in the translate
+    out.sort(key=lambda c: c.translate)
     return out
 
 
-def torsion_walk(coset, order):
-    """Integer vectors a in [0, order)^d with a / order on the coset, in
-    increasing lexicographic order: order ** dim(coset) of them when
-    order * zeta is integral, else none.  Pins on over _PIN_CAP coordinates
-    raise ValueError.  The pins read B a = order * zeta mod order, and the
-    row Hermite form of B on the s columns it uses, last to first, over
-    order * I_s (carrying order * zeta, then 0) is their Howell form mod
-    order (Howell 1986): row k gives coordinate used[s - 1 - k] h values
-    order / h apart, h | order, once the earlier coordinates are fixed, and
-    every earlier choice extends.
+def torsion_walk(ambient, pins, order):
+    """Integer vectors a in [0, order)^ambient with <v, a> = order * e
+    mod order for every pin (v, e), in increasing lexicographic order;
+    none when some order * e is not an integer.  Pins on over _PIN_CAP
+    coordinates raise ValueError.  The row Hermite form of the rows v on
+    the s columns they use, last to first, over order * I_s (carrying
+    order * e, then 0) is their Howell form mod order (Howell 1986): the
+    pins are solvable exactly when every row it drops carries 0 mod
+    order, and then row k gives coordinate used[s - 1 - k] h values
+    order / h apart, h | order, once the earlier coordinates are fixed,
+    and every earlier choice extends.
     """
     m = int(order)
     if m < 1:
         raise ValueError("order bound must be >= 1")
-    d = coset.ambient
-    used = [j for j in range(d) if any(row[j] for row in coset.basis)]
+    used = [j for j in range(ambient) if any(v[j] for v, _ in pins)]
     s = len(used)
     if s > _PIN_CAP:
         raise ValueError("pins on %d coordinates are over the cap of %d" % (s, _PIN_CAP))
-    target = [v * m for v in coset.translate]
+    target = [e * m for _, e in pins]
     if any(t.denominator != 1 for t in target):
         return
-    rows = [[row[j] for j in reversed(used)] for row in coset.basis]
+    rows = [[v[j] for j in reversed(used)] for v, _ in pins]
     rows += [[m * x for x in e] for e in identity_matrix(s)]
-    hnf, vals, _ = hermite_normal_form(rows, [int(t) for t in target] + [0] * s)
-    count, res, moves = [m] * d, [0] * d, [()] * d
+    hnf, vals, leftover = hermite_normal_form(rows, [int(t) for t in target] + [0] * s)
+    if any(v % m for v in leftover):
+        return
+    count, res, moves = [m] * ambient, [0] * ambient, [()] * ambient
     for k, j in enumerate(reversed(used)):
         count[j], res[j] = hnf[k][k], vals[k]
         moves[j] = [(used[~l], hnf[l][k]) for l in range(k) if hnf[l][k]]
@@ -249,7 +237,8 @@ def enumerate_torsion(coset, order):
     """All points of order dividing ``order`` on the coset, sorted."""
     m = int(order)
     fracs = [Fraction(a, m) for a in range(m)]
-    return [tuple(fracs[a] for a in pt) for pt in torsion_walk(coset, m)]
+    pins = list(zip(coset.basis, coset.translate))
+    return [tuple(fracs[a] for a in pt) for pt in torsion_walk(coset.ambient, pins, m)]
 
 
 def _check_unimodular(auto, d):
@@ -289,17 +278,11 @@ def _graded_basis(basis, weights):
     """
     rows = [list(r) for r in basis]
     r = len(rows)
-    if r == 0:
-        return []
     out = []
     for w in sorted(set(weights)):
         other = [j for j, wj in enumerate(weights) if wj != w]
-        if other:
-            block = [[row[j] for j in other] for row in rows]
-            combos = integer_kernel(transpose(block), ncols=r)
-        else:
-            combos = [[1 if i == k else 0 for i in range(r)] for k in range(r)]
-        for c in combos:
+        block = [[row[j] for j in other] for row in rows]
+        for c in integer_kernel(transpose(block), ncols=r):
             out.append(vec_mat(c, rows))
     if len(out) != r:
         return None
@@ -322,7 +305,7 @@ def _certify_component(system, comp, graded, action, auto_rows, prec, roots):
     p = action.p
     d = comp.ambient
     full_order = math.lcm(1, *(v.denominator for v in comp.translate))
-    a = next(torsion_walk(comp, full_order))
+    a = next(torsion_walk(d, list(zip(comp.basis, comp.translate)), full_order))
     t_order = full_order // math.gcd(full_order, *a)
     point = [str(Fraction(x, full_order)) for x in a]
     if t_order % p == 0:

@@ -740,6 +740,23 @@ def teichmuller(xi, prec):
     return UnramifiedScalar(p, f, 0, tuple(t), prec)
 
 
+def _residue_degree(p, n):
+    """The order f of p mod n, for n prime to p: the least residue degree
+    whose unit group holds the n-th roots of unity.  The search stops, with
+    ValueError, once p**f passes the residue-field cap."""
+    f = 1
+    acc = p % n
+    while acc != 1 % n and p ** f <= _RESIDUE_FIELD_CAP:
+        acc = acc * p % n
+        f += 1
+    if p ** f > _RESIDUE_FIELD_CAP:
+        raise ValueError(
+            "embedding needs residue field of size at least %d^%d; refusing beyond 10^6"
+            % (p, f)
+        )
+    return f
+
+
 def embed_root_of_unity(p, frac, prec):
     """Root of unity exp-analog of a rational angle c/n, gcd(n, p) = 1.
 
@@ -759,17 +776,7 @@ def embed_root_of_unity(p, frac, prec):
     c = frac.numerator
     if n % p == 0:
         raise ValueError("order divisible by p has no unramified root of unity")
-    # f is the order of p mod n; the search stops once p**f passes the cap
-    f = 1
-    acc = p % n
-    while acc != 1 and p ** f <= _RESIDUE_FIELD_CAP:
-        acc = acc * p % n
-        f += 1
-    if p ** f > _RESIDUE_FIELD_CAP:
-        raise ValueError(
-            "embedding needs residue field of size at least %d^%d; refusing beyond 10^6"
-            % (p, f)
-        )
+    f = _residue_degree(p, n)
     g = multiplicative_generator(p, f)
     omega = teichmuller(g, prec)
     return omega ** ((p ** f - 1) // n * c)

@@ -114,7 +114,8 @@ def _trivial_hit(out):
 
 # (cmd, document, exit code, expected): a dict is the whole stdout, a
 # string a part of stderr (with nothing on stdout), a function a check
-# of the stdout document
+# of the stdout document.  A refusal has 1 s, an answer 2 s, unless
+# BUDGETS names a tighter one
 EDGES = {
     # a scan or verification grid of more than 200000 characters
     "scan-grid-448^2": (
@@ -181,6 +182,21 @@ EDGES = {
         {"coset": _dense_pin(1000), "order": 1},
         0,
         {"count": 1, "points": [["0"] * 1000]},
+    ),
+    # one equation on a rank-4000 torus: the components come off the
+    # Hermite form of the one row and its column span, with no
+    # 4000 x 4000 transform (a Smith W took 1.9 s and 142 MB)
+    "solve-rank-4000": (
+        "solve-binomial",
+        {"dim": 4000, "equations": [{"exponents": [2 * j for j in range(1000, 5000)], "rhs": "1/3"}]},
+        0,
+        {
+            "count": 2,
+            "components": [
+                {"dim": 3999, "lattice_basis": [list(range(1000, 5000))], "translate": [t]}
+                for t in ("1/6", "2/3")
+            ],
+        },
     ),
     # a binomial system with more than 200000 components
     "components-200001": (
@@ -308,6 +324,9 @@ EDGES = {
 }
 
 
+BUDGETS = {"solve-rank-4000": 0.5}
+
+
 @pytest.mark.parametrize("edge", sorted(EDGES))
 def test_a_document_at_a_cap_edge_is_decided_within_its_budget(
     edge, monkeypatch, capsys, time_budget
@@ -317,7 +336,7 @@ def test_a_document_at_a_cap_edge_is_decided_within_its_budget(
     monkeypatch.setattr(padic, "_MODULUS_CACHE", {})
     monkeypatch.setattr(padic, "_GENERATOR_CACHE", {})
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
-    with time_budget(1 if code else 2):
+    with time_budget(BUDGETS.get(edge, 1 if code else 2)):
         got = main([cmd])
     captured = capsys.readouterr()
     assert got == code, captured.err

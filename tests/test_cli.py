@@ -185,6 +185,63 @@ def test_find_torsion_pipeline_and_verification(monkeypatch, capsys):
     assert code == 1 and vout["verified"] is False
 
 
+# real find-torsion requests: x_1^3 = 1 on a rank-2 torus under a shear at
+# p = 7, whose points (1/3, 0) and (2/3, 0) have period 3; x_1^2 = 1 at
+# p = 5; and x_1^5 = 1 at p = 5, whose points of order 5 are unavailable
+CERTIFIED_REQUESTS = [
+    ({"dim": 2, "equations": [{"exponents": [3, 0], "rhs": "0"}]}, 7, [[1, 0], [1, 1]], [1, 1]),
+    ({"dim": 2, "equations": [{"exponents": [2, 0], "rhs": "0"}]}, 5, [[1, 0], [0, 1]], [1, 2]),
+    ({"dim": 1, "equations": [{"exponents": [5], "rhs": "0"}]}, 5, [[1]], [1]),
+]
+
+
+def certified_request(system, p, auto, weights, monkeypatch, capsys):
+    alpha = PadicScalar.from_int(p, 1 + p, 24).to_json()
+    doc = {
+        "system": system,
+        "action": {"p": p, "weights": weights, "alpha": alpha},
+        "automorphism": auto,
+        "precision": 16,
+    }
+    _, out, _ = run_cli(["find-torsion"], doc, monkeypatch, capsys)
+    return {"kind": "certificates", "system": system, "automorphism": auto, "certificates": out["certificates"]}
+
+
+# one field of an ok certificate, a false value for it, and the reason,
+# which names the field
+CERTIFICATE_MUTATIONS = [
+    ("precision", 1, "precision out of range"),
+    ("precision", -5, "precision out of range"),
+    ("precision", 7057, "precision out of range"),
+    ("contraction_target_exp", 2, "contraction_target_exp is not the exp domain bound"),
+    ("contraction_exponent", 1, "contraction_exponent is not 0"),
+    ("sigma_power", 999, "sigma_power is not the period of the point"),
+    ("sigma_power", 0, "sigma_power is not the period of the point"),
+    ("status", "certificate unavailable at p", "status unavailable at p, but p does not divide the order"),
+]
+
+
+@pytest.mark.parametrize("request_index", range(len(CERTIFIED_REQUESTS)))
+def test_each_mutated_certificate_field_is_named(request_index, monkeypatch, capsys):
+    vdoc = certified_request(*CERTIFIED_REQUESTS[request_index], monkeypatch, capsys)
+    certs = vdoc["certificates"]
+    code, out, _ = run_cli(["verify"], vdoc, monkeypatch, capsys)
+    assert code == 0 and out == {"certificates_checked": len(certs), "verified": True}
+    periods = [c["sigma_power"] for c in certs if c["status"] == "ok"]
+    assert request_index != 0 or sorted(periods) == [1, 3, 3]
+    mutated = 0
+    for k, cert in enumerate(certs):
+        for field, value, reason in CERTIFICATE_MUTATIONS:
+            if cert["status"] != "ok" or cert[field] == value:
+                continue
+            broken = json.loads(json.dumps(vdoc))
+            broken["certificates"][k][field] = value
+            code, out, _ = run_cli(["verify"], broken, monkeypatch, capsys)
+            assert code == 1 and out == {"verified": False, "index": k, "reason": reason}
+            mutated += 1
+    assert mutated == len(periods) * len(CERTIFICATE_MUTATIONS)
+
+
 def test_find_torsion_hypothesis_violation_exits_one(monkeypatch, capsys):
     doc = {
         "system": {"dim": 2, "equations": [{"exponents": [2, 0], "rhs": "0"}]},
@@ -399,10 +456,11 @@ def test_verify_solve_stops_within_a_block_of_the_first_failure(monkeypatch, cap
     assert len(calls) == cli._VERIFY_BLOCK * len(comps)
 
 
-def test_verify_solve_counts_a_hundred_thousand_components():
+def test_verify_solve_counts_a_hundred_thousand_components(time_budget):
     # each component's tests are summed into one list of counts, so the
     # number of components sets no depth of nested iterators; a C-stack
-    # overflow would kill the child, not pytest
+    # overflow would kill the child, not pytest.  The one distinct
+    # component document is decoded once (100000 decodes took 2.3 s)
     copy = {"dim": 0, "lattice_basis": [[1]], "translate": ["0"]}
     doc = {
         "kind": "solve",
@@ -410,13 +468,14 @@ def test_verify_solve_counts_a_hundred_thousand_components():
         "components": [copy] * 100000,
         "order_bound": 2,
     }
-    proc = subprocess.run(
-        [sys.executable, "-m", "padicloci.cli", "verify"],
-        input=json.dumps(doc),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    with time_budget(1.5):
+        proc = subprocess.run(
+            [sys.executable, "-m", "padicloci.cli", "verify"],
+            input=json.dumps(doc),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == (
         '{"point":["0"],"reason":"solution covered 100000 times","verified":false}\n'

@@ -102,6 +102,10 @@ SEEDS = [
                     "component": POINT,
                     "torsion_point": ["1/2"],
                     "order": 2,
+                    "precision": 12,
+                    "sigma_power": 1,
+                    "contraction_exponent": 0,
+                    "contraction_target_exp": 1,
                     "translation": {"coset_through_identity": dict(POINT, translate=["0"])},
                     "conic": {"ok": True},
                 }

@@ -2,9 +2,10 @@ import math
 import random
 from fractions import Fraction
 from itertools import islice, product
+from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicloci.conic import WeightedAction
@@ -18,14 +19,13 @@ from padicloci.cosets import (
     torsion_walk,
 )
 from padicloci.intlinalg import (
-    diagonal_of,
     hermite_normal_form,
     identity_matrix,
     mat_vec,
-    smith_normal_form,
     vec_mat,
 )
 from padicloci.padic import PadicScalar
+from int_oracles import diagonal_of, smith_normal_form
 from test_intlinalg import lattice_solve
 
 F = Fraction
@@ -120,6 +120,10 @@ def test_enumerate_torsion_examples():
     assert enumerate_torsion(half, 3) == []
 
 
+def coset_walk(coset, m):
+    return torsion_walk(coset.ambient, list(zip(coset.basis, coset.translate)), m)
+
+
 @st.composite
 def cosets(draw):
     """A component of a random binomial system of rank <= 3; no equations
@@ -145,8 +149,39 @@ def test_torsion_walk_matches_a_brute_force_filter(coset, m):
         assert coset.contains(a, m) == member
         if member:
             brute.append(a)
-    assert list(torsion_walk(coset, m)) == brute
+    assert list(coset_walk(coset, m)) == brute
     assert enumerate_torsion(coset, m) == [tuple(F(x, m) for x in a) for a in brute]
+
+
+@st.composite
+def pin_systems(draw):
+    """Up to four pins on a torus of rank <= 3 with rows that need not be
+    saturated, independent or even nonzero; a pin is sometimes repeated
+    or summed with another under a fresh right side, which is most often
+    inconsistent with them."""
+    d = draw(st.integers(1, 3), label="rank")
+    row = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
+    rhs = st.builds(F, st.integers(0, 11), st.sampled_from((1, 2, 3, 4, 6, 12)))
+    pins = draw(st.lists(st.tuples(row, rhs), max_size=3), label="pins")
+    if pins and draw(st.booleans()):
+        (v, _), (w, _) = draw(st.sampled_from(pins)), draw(st.sampled_from(pins))
+        pins.append(([x + y for x, y in zip(v, w)], draw(rhs)))
+    return d, pins
+
+
+@settings(max_examples=400, deadline=None)
+@given(system=pin_systems(), m=st.integers(1, 12))
+@example(system=(1, [([2], F(0)), ([2], F(1, 2))]), m=4)
+def test_torsion_walk_of_any_pins_matches_a_brute_force_filter(system, m):
+    # each pin reads <v, a> = m * e mod m, with no solution when m * e is
+    # not an integer; an inconsistent system walks no point
+    d, pins = system
+    brute = [
+        a
+        for a in product(range(m), repeat=d)
+        if all((sum(map(mul, v, a)) - m * e) % m == 0 for v, e in pins)
+    ]
+    assert list(torsion_walk(d, pins, m)) == brute
 
 
 def smith_walk(coset, order):
@@ -210,7 +245,7 @@ def test_torsion_walk_matches_the_smith_walk(case):
     # past brute force: the whole walk up to 20000 points, else its head
     coset, m = case
     n = None if m ** coset.dim <= 20000 else 2000
-    assert list(islice(torsion_walk(coset, m), n)) == list(islice(smith_walk(coset, m), n))
+    assert list(islice(coset_walk(coset, m), n)) == list(islice(smith_walk(coset, m), n))
 
 
 # -- stability under automorphisms -------------------------------------------

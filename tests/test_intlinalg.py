@@ -1,9 +1,10 @@
 """Integer normal forms, checked against the oracles below.
 
 `determinant` (fraction-free Bareiss) and `mat_mul` are the Smith-form
-oracles: U A W = D with U and W of determinant +-1.  `inverse` is
-Gauss-Jordan over Fractions; it gives the W^-1 whose rows the binomial
-solver pins.  `lattice_solve` writes a vector over a Hermite basis; it
+oracles: U A W = D with U and W of determinant +-1, for the Smith form
+of `int_oracles`.  `inverse` is Gauss-Jordan over Fractions; it gives the
+W^-1 whose rows pin the components on the Smith route, which
+`solve_binomial`'s Hermite route is compared with.  `lattice_solve` writes a vector over a Hermite basis; it
 is the route `sigma_stable` took before it compared canonical cosets.
 """
 
@@ -15,15 +16,14 @@ import pytest
 
 from padicloci.cosets import BinomialSystem, TorsionCoset, _check_unimodular, solve_binomial
 from padicloci.intlinalg import (
-    diagonal_of,
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
     mat_vec,
-    smith_normal_form,
     transpose,
     vec_mat,
 )
+from int_oracles import diagonal_of, smith_normal_form
 
 
 def mat_mul(a, b):
