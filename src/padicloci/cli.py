@@ -381,22 +381,15 @@ def _component_in(doc, dim):
 def _verify_solve(doc, args):
     from .cosets import torsion_walk
     system = _system_in(doc)
-    # each distinct component document is decoded once (the repr of parsed
-    # JSON tells its values apart); a repeated one is the same coset, still
-    # tested once per point for every place it holds
-    decoded = {}
-    comps = []
-    for c in _need(doc, "components", list):
-        key = repr(c)
-        if key not in decoded:
-            decoded[key] = _component_in(c, system.dim)
-        comps.append(decoded[key])
+    comps = [_component_in(c, system.dim) for c in _need(doc, "components", list)]
     order = _grid_order(doc, args, system.dim, "verification")
     # one flag per point in lexicographic order, set on the solutions
     size = order ** system.dim
     flags = bytearray(size)
     place = [order ** k for k in reversed(range(system.dim))]
-    for a in torsion_walk(system.dim, system.equations, order):
+    # exponents mod order: an order-1 grid of any rank pins no coordinate
+    pins = [([c % order for c in v], e) for v, e in system.equations]
+    for a in torsion_walk(system.dim, pins, order):
         flags[sum(map(mul, a, place))] = 1
     # one membership test per point and component, a block of points at a
     # time, so that a failure stops within a block of its point; a solution

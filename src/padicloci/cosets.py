@@ -164,7 +164,8 @@ def solve_binomial(system):
     and the columns of S span Z^r: S pins the saturation of the row
     lattice.  Each solution of G^T zeta = c in (Q/Z)^r is one component
     {x : S x = zeta}, |det G| of them, all of order dividing |det G| times
-    the denominators of c; more than _COMPONENT_CAP raise ValueError.
+    the denominators of c.  A rank r over _PIN_CAP, the walk's cap, raises
+    ValueError once H is known, as do over _COMPONENT_CAP components.
     """
     d = system.dim
     hnf, values, leftover = hermite_normal_form(
@@ -172,10 +173,15 @@ def solve_binomial(system):
     )
     if any(v % 1 for v in leftover):
         return []
+    if len(hnf) > _PIN_CAP:
+        raise ValueError("exponent rows of rank %d are over the cap of %d" % (len(hnf), _PIN_CAP))
     g = column_lattice(hnf)
     count = math.prod(g[i][i] for i in range(len(g)))
     if count > _COMPONENT_CAP:
         raise ValueError("%d components are over the cap of %d" % (count, _COMPONENT_CAP))
+    if count == 1:
+        # G = I: S = H, and zeta = c is the one component
+        return [TorsionCoset(d, hnf, values)]
     # forward substitution through the lower triangular G^T, exact
     basis = []
     for i, row in enumerate(hnf):

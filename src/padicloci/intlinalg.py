@@ -74,13 +74,14 @@ def hermite_normal_form(rows, values=None):
 
 
 def column_lattice(rows):
-    """Hermite basis of the lattice spanned by the columns of ``rows``.
+    """Hermite basis of the column span of ``rows``, a row Hermite form.
 
-    The columns are folded in one at a time, so a wide matrix never
-    enters one Hermite form, and the fold stops once the span is all of
-    Z^r, which no further column can change.
+    Its pivot columns are upper triangular, so pivots all 1 span Z^r.
+    Otherwise the columns are folded in one at a time, so a wide matrix
+    never enters one Hermite form, until the span is all of Z^r.
     """
-    unit, span = identity_matrix(len(rows)), []
+    unit = identity_matrix(len(rows))
+    span = unit if all(next(filter(None, row)) == 1 for row in rows) else []
     for col in zip(*rows):
         if span == unit:
             break

@@ -102,6 +102,12 @@ def _dense_pin(d):
     return {"lattice_basis": [[1] * d], "translate": ["0"], "dim": d - 1}
 
 
+def _diagonal(rank):
+    # x_i = zeta_3 for every i on a rank-`rank` torus
+    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    return {"dim": rank, "equations": [{"exponents": r, "rhs": "1/3"} for r in rows]}
+
+
 def _column(rows):
     # h^0 of a map with `rows` rows, each the cell t - 1
     cell = [{"coeff": "1", "exp": [1]}, {"coeff": "-1", "exp": [0]}]
@@ -195,6 +201,30 @@ EDGES = {
             "components": [
                 {"dim": 3999, "lattice_basis": [list(range(1000, 5000))], "translate": [t]}
                 for t in ("1/6", "2/3")
+            ],
+        },
+    ),
+    # a binomial system whose exponent rows have rank above 1000: its
+    # components are walked like pins on that many coordinates, so it is
+    # refused once the Hermite form of its rows is known
+    "solve-rank-1001": (
+        "solve-binomial",
+        _diagonal(1001),
+        1,
+        "exponent rows of rank 1001 are over the cap of 1000",
+    ),
+    "solve-rank-1000": (
+        "solve-binomial",
+        _diagonal(1000),
+        0,
+        {
+            "count": 1,
+            "components": [
+                {
+                    "dim": 0,
+                    "lattice_basis": [e["exponents"] for e in _diagonal(1000)["equations"]],
+                    "translate": ["1/3"] * 1000,
+                }
             ],
         },
     ),
